@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -27,7 +26,10 @@ from .mixtures import (
     STUDENT_T,
     ComponentParams,
     MixtureParams,
-    _mahal_rows,
+    _check_weights,
+    _factorize,
+    _log_weighted,
+    _normalize,
     mixture_to_json,
     regularize_scatter,
     validate_data,
@@ -173,111 +175,110 @@ def kmeanspp_init(
     )
 
 
-def _e_step(params: MixtureParams, x: np.ndarray):
-    """Responsibilities, per-component squared Mahalanobis, log-likelihood."""
-    n = x.shape[0]
-    qn = params.q
-    lw = np.empty((n, qn))
-    mahal = np.empty((n, qn))
-    log_w = np.log(params.weights)
-    for q, comp in enumerate(params.components):
-        m = _mahal_rows(comp, x)
-        mahal[:, q] = m
-        if comp.kind == GAUSSIAN:
-            lw[:, q] = log_w[q] - 0.5 * (
-                comp.dim * np.log(2.0 * np.pi) + comp._log_det + m
-            )
-        else:
-            nu = comp.dof
-            dd = comp.dim
-            const = (
-                math.lgamma(0.5 * (nu + dd))
-                - math.lgamma(0.5 * nu)
-                - 0.5 * dd * math.log(nu * math.pi)
-                - 0.5 * comp._log_det
-            )
-            lw[:, q] = log_w[q] + const - 0.5 * (nu + dd) * np.log1p(m / nu)
-    mx = lw.max(axis=1, keepdims=True)
-    p = np.exp(lw - mx)
-    s = p.sum(axis=1, keepdims=True)
-    resp = np.maximum(p / s, 1e-300)
-    loglik = float((mx[:, 0] + np.log(s[:, 0])).sum())
-    return resp, mahal, loglik
+# The EM iterate is a plain tuple (weights, means, scatters, chols, log_dets)
+# with shapes (Q,), (Q, d), (Q, d, d), (Q, d, d), (Q,), plus one dof (None for
+# Gaussian).  Scatters are regularized once when they are made; mixture
+# parameters are built, and so validated, only when a fit returns.
+
+
+def _factored(scatters: np.ndarray):
+    chols, log_dets = zip(*map(_factorize, scatters))
+    return scatters, np.stack(chols), np.array(log_dets)
+
+
+def _theta(params: MixtureParams):
+    comps = params.components
+    means = np.stack([c.mean for c in comps])
+    return (params.weights, means, *_factored(np.stack([c.scatter for c in comps])))
+
+
+def _to_params(theta, dof: float | None, structure: str) -> MixtureParams:
+    weights, means, scatters, _, _ = theta
+    kind = GAUSSIAN if dof is None else STUDENT_T
+    comps = tuple(
+        ComponentParams(kind=kind, mean=m, scatter=s, dof=dof)
+        for m, s in zip(means, scatters)
+    )
+    return MixtureParams(weights=weights, components=comps, structure=structure)
+
+
+def _e_step(theta, dof: float | None, x: np.ndarray):
+    """Responsibilities, squared Mahalanobis (Student-t only), log-likelihood."""
+    weights, means, _, chols, log_dets = theta
+    mahal = None if dof is None else np.empty((x.shape[0], len(weights)))
+    lw = _log_weighted(
+        x, np.log(weights), means, chols, log_dets, (dof,) * len(weights), mahal
+    )
+    probs, loglik = _normalize(lw)
+    return np.maximum(probs, 1e-300), mahal, loglik
 
 
 def _m_step(
     x: np.ndarray,
     resp: np.ndarray,
-    mahal: np.ndarray,
+    mahal: np.ndarray | None,
     cfg: EmConfig,
-    prev: MixtureParams,
+    dof: float | None,
+    known,
     rng: np.random.Generator,
-) -> tuple[MixtureParams, int]:
-    """One constrained M-step.
+):
+    """One constrained M-step; returns the new iterate and the reinit count.
 
     A component is re-seeded at a random data point when its responsibility
     mass collapses below 1/n or its updated scatter degenerates (EM driving
-    a covariance to singularity).
+    a covariance to singularity).  ``known`` holds the factored known
+    covariances, or ``None`` when covariances are estimated.
     """
     n, d = x.shape
-    qn = prev.q
-    kind = prev.components[0].kind
+    qn = resp.shape[1]
     mass = resp.sum(axis=0)
-
-    if kind == STUDENT_T:
-        nus = np.array([c.dof for c in prev.components])
-        u = (nus[None, :] + d) / (nus[None, :] + mahal)
-        w = resp * u
-    else:
-        w = resp
-    wsum = w.sum(axis=0)
-    means = (w.T @ x) / wsum[:, None]
+    w = resp if dof is None else resp * ((dof + d) / (dof + mahal))
+    means = (w.T @ x) / w.sum(axis=0)[:, None]
 
     reinit: list[int] = []
-    comps = []
+    scatters = np.empty((qn, d, d))
     for q in range(qn):
-        mean = means[q]
-        cov = None
-        if mass[q] >= 1.0 / n:
-            if cfg.structure == "known":
-                cov = np.asarray(cfg.known_covariances[q], dtype=float)
-            else:
-                diff = x - mean
-                num = (w[:, q, None] * diff).T @ diff
-                try:
-                    cov = regularize_scatter(_project_cov(num / mass[q], cfg.structure))
-                except ValueError:
-                    cov = None
-        if cov is None:
+        ok = mass[q] >= 1.0 / n
+        if ok and known is None:
+            diff = x - means[q]
+            cov = (w[:, q, None] * diff).T @ diff / mass[q]
+            try:
+                scatters[q] = regularize_scatter(_project_cov(cov, cfg.structure))
+            except ValueError:
+                ok = False
+        if not ok:
             reinit.append(q)
-            mean = x[int(rng.integers(n))].copy()
-            if cfg.structure == "known":
-                cov = np.asarray(cfg.known_covariances[q], dtype=float)
-            else:
-                cov = _project_cov(_safe_cov(x), cfg.structure)
-        comps.append(
-            ComponentParams(
-                kind=kind, mean=mean, scatter=cov, dof=prev.components[q].dof
-            )
-        )
+            means[q] = x[int(rng.integers(n))]
+            if known is None:
+                scatters[q] = regularize_scatter(_project_cov(_safe_cov(x), cfg.structure))
+    scatters, chols, log_dets = known or _factored(scatters)
 
     if cfg.known_weights is not None:
         weights = np.asarray(cfg.known_weights, dtype=float)
     else:
         weights = mass / n
         if reinit:
-            weights = weights.copy()
             weights[reinit] = np.maximum(weights[reinit], 1.0 / n)
             weights = weights / weights.sum()
-    return (
-        MixtureParams(weights=weights, components=tuple(comps), structure=cfg.structure),
-        len(reinit),
-    )
+    return (weights, means, scatters, chols, log_dets), len(reinit)
 
 
-def _run_start(
-    x: np.ndarray, q: int, cfg: EmConfig, rng: np.random.Generator
-) -> tuple[MixtureParams, list[float], bool, int]:
+def _known_factors(cfg: EmConfig, q: int):
+    """Check the known weights and covariances against ``q``, once per fit.
+
+    Returns the known covariances regularized and factored, or ``None`` when
+    covariances are estimated.
+    """
+    if cfg.known_weights is not None:
+        _check_weights(np.asarray(cfg.known_weights, dtype=float), q)
+    if cfg.structure != "known":
+        return None
+    if len(cfg.known_covariances) != q:
+        raise ValueError(f"known_covariances must hold q={q} matrices")
+    return _factored(np.stack([regularize_scatter(c) for c in cfg.known_covariances]))
+
+
+def _run_start(x: np.ndarray, q: int, cfg: EmConfig, known, rng: np.random.Generator):
     init = kmeanspp_init(
         x,
         q,
@@ -287,24 +288,20 @@ def _run_start(
         family=cfg.family,
         dof=cfg.dof,
     )
-    if cfg.known_weights is not None:
-        init = MixtureParams(
-            weights=np.asarray(cfg.known_weights, dtype=float),
-            components=init.components,
-            structure=init.structure,
-        )
-    # first M-step from the hard k-means++ assignment
-    centers = np.stack([c.mean for c in init.components])
-    dist2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    dof = init.components[0].dof
+    # first M-step from the hard k-means++ assignment; only the Student-t
+    # M-step reads the Mahalanobis distances under the initial parameters
+    theta = _theta(init)
+    dist2 = ((x[:, None, :] - theta[1][None, :, :]) ** 2).sum(axis=2)
     one_hot = np.zeros((x.shape[0], q))
     one_hot[np.arange(x.shape[0]), np.argmin(dist2, axis=1)] = 1.0
-    _, mahal0, _ = _e_step(init, x)
-    params, n_reinit = _m_step(x, one_hot, mahal0, cfg, init, rng)
+    mahal0 = None if dof is None else _e_step(theta, dof, x)[1]
+    theta, n_reinit = _m_step(x, one_hot, mahal0, cfg, dof, known, rng)
 
     trace: list[float] = []
     converged = False
     for _ in range(cfg.max_iter):
-        resp, mahal, ll = _e_step(params, x)
+        resp, mahal, ll = _e_step(theta, dof, x)
         trace.append(ll)
         if (
             len(trace) > 1
@@ -313,12 +310,11 @@ def _run_start(
         ):
             converged = True
             break
-        params, k = _m_step(x, resp, mahal, cfg, params, rng)
+        theta, k = _m_step(x, resp, mahal, cfg, dof, known, rng)
         n_reinit += k
     if not converged:
-        _, _, ll = _e_step(params, x)
-        trace.append(ll)
-    return params, trace, converged, n_reinit
+        trace.append(_e_step(theta, dof, x)[2])
+    return theta, dof, trace, converged, n_reinit
 
 
 def fit_mixture(
@@ -337,14 +333,15 @@ def fit_mixture(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     streams = rng.spawn(cfg.n_starts)
+    known = _known_factors(cfg, q)
     best = None
     for s in range(cfg.n_starts):
-        params, trace, converged, n_re = _run_start(x, q, cfg, streams[s])
-        if best is None or trace[-1] > best[1][-1]:
-            best = (params, trace, converged, n_re)
-    params, trace, converged, n_re = best
+        theta, dof, trace, converged, n_re = _run_start(x, q, cfg, known, streams[s])
+        if best is None or trace[-1] > best[2][-1]:
+            best = (theta, dof, trace, converged, n_re)
+    theta, dof, trace, converged, n_re = best
     return FitResult(
-        params=params,
+        params=_to_params(theta, dof, cfg.structure),
         loglik_trace=np.asarray(trace, dtype=float),
         n_starts_run=cfg.n_starts,
         converged=converged,
@@ -375,10 +372,12 @@ def em_steps(
 ) -> MixtureParams:
     """Run ``n_iter`` EM iterations from ``params`` (warm start, one start)."""
     x = validate_data(data)
+    known = _known_factors(cfg, params.q)
+    theta, dof = _theta(params), params.components[0].dof
     for _ in range(n_iter):
-        resp, mahal, _ = _e_step(params, x)
-        params, _ = _m_step(x, resp, mahal, cfg, params, rng)
-    return params
+        resp, mahal, _ = _e_step(theta, dof, x)
+        theta, _ = _m_step(x, resp, mahal, cfg, dof, known, rng)
+    return _to_params(theta, dof, cfg.structure)
 
 
 def save_fit(result: FitResult, params_path, trace_path=None) -> None:

@@ -33,6 +33,8 @@ from .evaluation import FcrReport, sample_fcr
 from .mixtures import (
     ComponentParams,
     MixtureParams,
+    _read_csv,
+    load_data_csv,
     posterior_matrix,
     sample_mixture,
     validate_data,
@@ -352,16 +354,12 @@ def run_real_data(
     """
     if procedure not in ("plugin", "fixed", "boot_param", "boot_nonparam"):
         raise ValueError(f"unsupported real-data procedure {procedure!r}")
-    header, rows = _read_csv_table(csv_path)
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise ValueError(f"{csv_path}: missing columns {missing}")
-    take = [header.index(c) for c in columns]
-    try:
-        x = np.array([[float(row[j]) for j in take] for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{csv_path}: non-numeric cell in {columns}") from exc
-    x = validate_data(x)
+    x = load_data_csv(csv_path, columns)
+    truth_labels = None
+    if ground_truth_column is not None:
+        _, raw = _read_csv(csv_path, [ground_truth_column], str)
+        codes = {v: i for i, v in enumerate(sorted({row[0] for row in raw}))}
+        truth_labels = np.array([codes[row[0]] for row in raw], dtype=np.int64)
     if x.shape[0] < q:
         raise ValueError(f"{csv_path}: fewer rows ({x.shape[0]}) than clusters ({q})")
     if standardize:
@@ -384,28 +382,11 @@ def run_real_data(
         sc = clustering_at_calibrated_level(fit.params, x, alpha, curve)
 
     report = None
-    if ground_truth_column is not None:
-        if ground_truth_column not in header:
-            raise ValueError(f"{csv_path}: missing column {ground_truth_column!r}")
-        gt_idx = header.index(ground_truth_column)
-        raw = [row[gt_idx] for row in rows]
-        codes = {v: i for i, v in enumerate(sorted(set(raw)))}
-        truth_labels = np.array([codes[v] for v in raw], dtype=np.int64)
+    if truth_labels is not None:
         report = sample_fcr(truth_labels, sc.labels, sc.selection.selected)
     if out_csv is not None:
         write_clustering_csv(sc, out_csv)
     return sc, report
-
-
-def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty CSV") from None
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    return header, rows
 
 
 # --- output emission ---------------------------------------------------------

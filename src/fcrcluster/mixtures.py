@@ -14,7 +14,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,18 +30,13 @@ STRUCTURES = ("known", "spherical", "diagonal", "full")
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
-def scatter_floor(scatter: np.ndarray) -> float:
-    """Eigenvalue floor applied whenever a scatter matrix is inverted."""
-    d = scatter.shape[0]
-    return 1e-8 * float(np.trace(scatter)) / d
-
-
 def regularize_scatter(scatter) -> np.ndarray:
     """Symmetrize ``scatter`` and lift its eigenvalues to the stability floor.
 
     Near-singular matrices (as produced by EM on degenerate clusters) are
-    repaired silently; materially asymmetric or non-positive-definite input
-    raises ``ValueError``.
+    repaired silently, with low eigenvalues lifted to twice the floor
+    ``1e-8 * trace / d`` so the result is a fixed point of this function;
+    materially asymmetric or non-positive-definite input raises ``ValueError``.
     """
     s = np.asarray(scatter, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -63,8 +57,8 @@ def regularize_scatter(scatter) -> np.ndarray:
         raise ValueError("scatter must be positive definite")
     if evals[0] >= floor:
         return sym
-    evals = np.maximum(evals, floor)
-    return (evecs * evals) @ evecs.T
+    lifted = (evecs * np.maximum(evals, 2.0 * floor)) @ evecs.T
+    return 0.5 * (lifted + lifted.T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,13 +100,11 @@ class ComponentParams:
     def dim(self) -> int:
         return self.mean.size
 
-    @cached_property
-    def _chol(self) -> np.ndarray:
-        return np.linalg.cholesky(self.scatter)
 
-    @cached_property
-    def _log_det(self) -> float:
-        return 2.0 * float(np.log(np.diag(self._chol)).sum())
+def _factorize(scatter: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor and log-determinant of a regularized scatter."""
+    chol = np.linalg.cholesky(scatter)
+    return chol, 2.0 * float(np.log(np.diag(chol)).sum())
 
 
 def _same_component(a: ComponentParams, b: ComponentParams) -> bool:
@@ -122,6 +114,17 @@ def _same_component(a: ComponentParams, b: ComponentParams) -> bool:
         and np.array_equal(a.mean, b.mean)
         and np.array_equal(a.scatter, b.scatter)
     )
+
+
+def _check_weights(weights: np.ndarray, q: int) -> None:
+    if weights.ndim != 1 or weights.size == 0:
+        raise ValueError("weights must be a non-empty 1-d vector")
+    if weights.size != q:
+        raise ValueError("weights and components lengths disagree")
+    if not np.all(weights > 0.0):
+        raise ValueError("all mixture weights must be positive")
+    if abs(float(weights.sum()) - 1.0) > 1e-12:
+        raise ValueError("mixture weights must sum to 1 within 1e-12")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,14 +138,7 @@ class MixtureParams:
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
         components = tuple(self.components)
-        if weights.ndim != 1 or weights.size == 0:
-            raise ValueError("weights must be a non-empty 1-d vector")
-        if weights.size != len(components):
-            raise ValueError("weights and components lengths disagree")
-        if not np.all(weights > 0.0):
-            raise ValueError("all mixture weights must be positive")
-        if abs(float(weights.sum()) - 1.0) > 1e-12:
-            raise ValueError("mixture weights must sum to 1 within 1e-12")
+        _check_weights(weights, len(components))
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown covariance structure {self.structure!r}")
         d = components[0].dim
@@ -189,27 +185,48 @@ def validate_data(data) -> np.ndarray:
     return x
 
 
-def _mahal_rows(component: ComponentParams, x: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distance of each row of ``x`` to the component."""
-    diff = x - component.mean
-    z = solve_triangular(component._chol, diff.T, lower=True)
-    return np.einsum("ij,ij->j", z, z)
+def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndarray:
+    """The (n, Q) matrix of ``log(pi_q) + log f_q(x_i)``.
+
+    The one place a mixture log-density is computed, from plain per-component
+    arrays; ``dofs[q]`` is ``None`` for a Gaussian component.  The squared
+    Mahalanobis distances are stored in ``mahal`` when an (n, Q) array is given.
+    """
+    d = x.shape[1]
+    lw = np.empty((x.shape[0], len(log_w)))
+    per_component = zip(log_w, means, chols, log_dets, dofs, strict=True)
+    for q, (log_wq, mean, chol, log_det, nu) in enumerate(per_component):
+        z = solve_triangular(chol, (x - mean).T, lower=True)
+        m = np.einsum("ij,ij->j", z, z)
+        del z  # d*n floats, freed before the density temporaries
+        if mahal is not None:
+            mahal[:, q] = m
+        if nu is None:
+            lw[:, q] = log_wq - 0.5 * (d * _LOG_2PI + log_det + m)
+        else:
+            const = (
+                math.lgamma(0.5 * (nu + d))
+                - math.lgamma(0.5 * nu)
+                - 0.5 * d * math.log(nu * math.pi)
+                - 0.5 * log_det
+            )
+            lw[:, q] = log_wq + const - 0.5 * (nu + d) * np.log1p(m / nu)
+    return lw
+
+
+def _normalize(lw: np.ndarray) -> tuple[np.ndarray, float]:
+    """Rows of ``exp(lw)`` normalized by log-sum-exp, and the summed log normalizers."""
+    m = lw.max(axis=1, keepdims=True)
+    p = np.exp(lw - m)
+    s = p.sum(axis=1, keepdims=True)
+    return p / s, float((m[:, 0] + np.log(s[:, 0])).sum())
 
 
 def log_density_rows(component: ComponentParams, x: np.ndarray) -> np.ndarray:
     """Component log density evaluated at every row of ``x``."""
-    d = component.dim
-    mahal = _mahal_rows(component, x)
-    if component.kind == GAUSSIAN:
-        return -0.5 * (d * _LOG_2PI + component._log_det + mahal)
-    nu = component.dof
-    const = (
-        math.lgamma(0.5 * (nu + d))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * d * math.log(nu * math.pi)
-        - 0.5 * component._log_det
-    )
-    return const - 0.5 * (nu + d) * np.log1p(mahal / nu)
+    chol, log_det = _factorize(component.scatter)
+    lw = _log_weighted(x, (0.0,), (component.mean,), (chol,), (log_det,), (component.dof,))
+    return lw[:, 0]
 
 
 def log_density(component: ComponentParams, x) -> float:
@@ -235,7 +252,7 @@ def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
         idx = np.flatnonzero(labels == q)
         if idx.size == 0:
             continue
-        z = rng.standard_normal((idx.size, d)) @ comp._chol.T
+        z = rng.standard_normal((idx.size, d)) @ _factorize(comp.scatter)[0].T
         if comp.kind == STUDENT_T:
             w = rng.chisquare(comp.dof, idx.size)
             z *= np.sqrt(comp.dof / w)[:, None]
@@ -243,31 +260,23 @@ def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
     return labels.astype(np.int64), data
 
 
-def log_weighted_densities(params: MixtureParams, data: np.ndarray) -> np.ndarray:
-    """Matrix of ``log(pi_q) + log f_q(x_i)`` with shape (n, Q)."""
+def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix, float]:
+    """Posterior matrix together with the data log-likelihood."""
     x = validate_data(data)
     if x.size and x.shape[1] != params.dim:
         raise ValueError(f"data has dimension {x.shape[1]}, expected {params.dim}")
-    out = np.empty((x.shape[0], params.q), dtype=float)
-    log_w = np.log(params.weights)
-    for q, comp in enumerate(params.components):
-        out[:, q] = log_w[q] + log_density_rows(comp, x)
-    return out
-
-
-def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix, float]:
-    """Posterior matrix together with the data log-likelihood."""
-    lw = log_weighted_densities(params, data)
-    if lw.shape[0] == 0:
+    if x.shape[0] == 0:
         empty = PosteriorMatrix(
             probs=np.empty((0, params.q)), t_values=np.empty(0)
         )
         return empty, 0.0
-    m = lw.max(axis=1, keepdims=True)
-    p = np.exp(lw - m)
-    s = p.sum(axis=1, keepdims=True)
-    probs = p / s
-    loglik = float((m[:, 0] + np.log(s[:, 0])).sum())
+    comps = params.components
+    chols, log_dets = zip(*(_factorize(c.scatter) for c in comps))
+    lw = _log_weighted(
+        x, np.log(params.weights), [c.mean for c in comps], chols, log_dets,
+        [c.dof for c in comps],
+    )
+    probs, loglik = _normalize(lw)
     t = np.clip(1.0 - probs.max(axis=1), 0.0, 1.0 - 1.0 / params.q)
     return PosteriorMatrix(probs=probs, t_values=t), loglik
 
@@ -368,8 +377,8 @@ def save_data_csv(data, path, columns: list[str] | None = None) -> None:
             writer.writerow([repr(float(v)) for v in row])
 
 
-def load_data_csv(path, columns: list[str] | None = None) -> np.ndarray:
-    """Read a headered numeric CSV, optionally restricted to named columns."""
+def _read_csv(path, columns: list[str] | None, convert) -> tuple[int, list[list]]:
+    """Width and rows of ``convert(cell)`` for the named columns of a headered CSV."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -389,9 +398,18 @@ def load_data_csv(path, columns: list[str] | None = None) -> np.ndarray:
             if not row or all(not cell.strip() for cell in row):
                 continue
             try:
-                rows.append([float(row[j]) for j in take])
+                rows.append([convert(row[j]) for j in take])
             except (ValueError, IndexError) as exc:
-                raise ValueError(f"{path}: bad numeric row at line {lineno}") from exc
+                raise ValueError(
+                    f"{path}: bad numeric row at line {lineno}"
+                    " (too few cells or a non-numeric cell)"
+                ) from exc
+    return len(take), rows
+
+
+def load_data_csv(path, columns: list[str] | None = None) -> np.ndarray:
+    """Read a headered numeric CSV, optionally restricted to named columns."""
+    width, rows = _read_csv(path, columns, float)
     if not rows:
-        return np.empty((0, len(take)))
+        return np.empty((0, width))
     return validate_data(np.asarray(rows, dtype=float))

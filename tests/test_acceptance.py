@@ -353,9 +353,8 @@ def test_criterion_11_real_data_workflow():
         seed=5,
     )
     assert report is not None
-    header, rows = fc.harness._read_csv_table(path)
-    gt_idx = header.index("diagnosis")
-    raw = [row[gt_idx] for row in rows]
+    _, rows = fc.mixtures._read_csv(path, ["diagnosis"], str)
+    raw = [row[0] for row in rows]
     codes = {v: i for i, v in enumerate(sorted(set(raw)))}
     truth_labels = np.array([codes[v] for v in raw])
     map_report = fc.sample_fcr(truth_labels, sc.labels, np.arange(len(sc.labels)))

@@ -2,12 +2,64 @@ import numpy as np
 import pytest
 
 import fcrcluster as fc
-from fcrcluster.em import EmConfig, kmeanspp_init
+from fcrcluster.em import FAMILIES, EmConfig, kmeanspp_init
+from fcrcluster.mixtures import STRUCTURES
 
 
 def blobs(rng, centers, n_per, scale=1.0):
     parts = [c + scale * rng.normal(size=(n_per, len(c))) for c in map(np.asarray, centers)]
     return np.vstack(parts)
+
+
+def small_input(structure, family):
+    """A seeded two-cluster input and config for one structure and family."""
+    rng = np.random.default_rng(2024)
+    x = np.vstack([rng.standard_t(6, size=(40, 2)) + c for c in ((0.0, 0.0), (3.0, 1.0))])
+    kw = kc = None
+    if structure == "known":
+        kw, kc = np.array([0.4, 0.6]), (np.eye(2), np.array([[1.5, 0.3], [0.3, 0.8]]))
+    cfg = EmConfig(family=family, structure=structure, n_starts=2, max_iter=50,
+                   known_weights=kw, known_covariances=kc, seed=17)
+    return x, cfg
+
+
+# (loglik, weights, n_reinits, trace length) of fit_mixture(x, 2, cfg) on
+# small_input, recorded from the EM that kept its iterate as MixtureParams.
+# No eigenvalue floor fires on these inputs, so a refactor of the numerics
+# must reproduce them.
+GOLDEN = {
+    ("known", "gaussian"): (-327.46433028090996, [0.4, 0.6], 0, 15),
+    ("known", "student"): (-308.073453682438, [0.4, 0.6], 0, 21),
+    ("spherical", "gaussian"): (-307.8154655091299, [0.462538501624321, 0.5374614983756794], 0, 46),
+    ("spherical", "student"): (-306.87013486195247, [0.5175170661671777, 0.48248293383282215], 0, 46),
+    ("diagonal", "gaussian"): (-306.4232159211291, [0.8220544754570094, 0.17794552454299056], 0, 51),
+    ("diagonal", "student"): (-305.6486682566315, [0.9347217486248786, 0.06527825137512097], 0, 37),
+    ("full", "gaussian"): (-298.5512210446028, [0.9546289082070321, 0.04537109179296805], 0, 29),
+    ("full", "student"): (-302.38453066334375, [0.9551431280783447, 0.04485687192165496], 0, 28),
+}
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_seeded_fit_matches_recorded_outputs(structure, family):
+    x, cfg = small_input(structure, family)
+    fit = fc.fit_mixture(x, 2, cfg)
+    loglik, weights, n_reinits, n_trace = GOLDEN[(structure, family)]
+    assert fit.loglik == pytest.approx(loglik, rel=1e-10)
+    np.testing.assert_allclose(fit.params.weights, weights, rtol=1e-10)
+    assert fit.n_reinits == n_reinits
+    assert len(fit.loglik_trace) == n_trace
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_fit_loglik_equals_mixture_loglik_exactly(structure, family):
+    # the returned parameters are the ones EM last evaluated, through the same
+    # kernel; the duplicate-row input makes the eigenvalue floor fire
+    x, cfg = small_input(structure, family)
+    for data in (x, np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]])):
+        fit = fc.fit_mixture(data, 2, cfg)
+        assert fit.loglik == fc.mixture_loglik(fit.params, data)
 
 
 class TestKmeansppInit:
@@ -101,6 +153,19 @@ class TestGaussianEm:
     def test_known_requires_covariances(self):
         with pytest.raises(ValueError, match="known_covariances"):
             EmConfig(structure="known").validate()
+
+    def test_known_parts_checked_against_q(self):
+        x = blobs(np.random.default_rng(17), [(0.0, 0.0), (4.0, 0.0)], 30)
+        fit = fc.em_fit(x, 2, EmConfig(n_starts=1), np.random.default_rng(0))
+        for cfg in (
+            EmConfig(known_weights=np.array([1.0])),
+            EmConfig(known_weights=np.array([0.7, 0.7])),
+            EmConfig(structure="known", known_covariances=(np.eye(2),)),
+        ):
+            with pytest.raises(ValueError):
+                fc.fit_mixture(x, 2, cfg, np.random.default_rng(1))
+            with pytest.raises(ValueError):
+                fc.em_steps(x, fit.params, cfg, 2, np.random.default_rng(1))
 
     def test_constraint_shapes(self):
         rng = np.random.default_rng(10)

@@ -256,6 +256,15 @@ class TestRealData:
         with pytest.raises(ValueError, match="non-numeric"):
             fc.run_real_data(path, ["radius", "diagnosis"], q=2, alpha=0.1)
 
+    def test_short_row_reports_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("a,b,label\n1.0,2.0,x\n3.0\n5.0,6.0,y\n")
+        with pytest.raises(ValueError, match="line 3"):
+            fc.run_real_data(path, ["a", "b"], q=1, alpha=0.1)
+        path.write_text("a,b,label\n1.0,2.0,x\n3.0,4.0\n5.0,6.0,y\n")
+        with pytest.raises(ValueError, match="line 3"):
+            fc.run_real_data(path, ["a", "b"], q=1, alpha=0.1, ground_truth_column="label")
+
     def test_fewer_rows_than_clusters(self, tmp_path):
         path = tmp_path / "tiny.csv"
         path.write_text("a\n1.0\n")

@@ -300,6 +300,17 @@ def test_regularize_scatter_keeps_valid_input_bit_exact():
     np.testing.assert_array_equal(regularize_scatter(s), s)
 
 
+def test_regularize_scatter_is_a_fixed_point_on_rank_deficient_input():
+    rng = np.random.default_rng(31)
+    for _ in range(500):
+        d = int(rng.integers(2, 6))
+        a = rng.normal(size=(d, int(rng.integers(1, d)))) * rng.uniform(0.1, 10.0)
+        s = a @ a.T
+        once = regularize_scatter(s)
+        np.testing.assert_array_equal(regularize_scatter(once), once)
+        assert np.linalg.eigvalsh(once)[0] >= 1e-8 * np.trace(s) / d
+
+
 def test_t_law_matches_closed_form_tail():
     # Monte-Carlo CDF of the MAP risk vs the two-term normal-CDF expression
     params = fc.gaussian_separation_truth(2, 2, 2.0)
