@@ -30,6 +30,7 @@ from .mixtures import (
 )
 from .selection import (
     SelectiveClustering,
+    _check_alpha,
     empty_selection,
     kstar_grid,
     select_and_label,
@@ -83,6 +84,8 @@ class BootstrapConfig:
                 raise ValueError("grid levels must lie in (0, 1)")
             if np.any(np.diff(g) <= 0.0):
                 raise ValueError("grid must be strictly increasing")
+        if isinstance(self.refit, WarmStart) and self.refit.iters < 0:
+            raise ValueError("warm-start iters must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,7 +233,7 @@ def bootstrap_fcr(
 ) -> float:
     """Bootstrap estimate of the FCR the plug-in achieves at ``alpha_prime``."""
     cfg.validate()
-    levels = np.array([float(alpha_prime)])
+    levels = np.array([_check_alpha(alpha_prime)])
     curve = _fcr_curve(data, theta_hat, levels, cfg, em_cfg or EmConfig(), rng)
     return float(curve[0])
 
@@ -250,6 +253,7 @@ def calibrate_level(
     when even the smallest level overshoots).
     """
     cfg.validate()
+    alpha = _check_alpha(alpha)
     levels = (
         np.asarray(cfg.grid, dtype=float) if cfg.grid is not None else level_grid(alpha)
     )

@@ -68,6 +68,8 @@ class EmConfig:
             raise ValueError("n_starts must be >= 1")
         if self.structure == "known" and self.known_covariances is None:
             raise ValueError("structure 'known' requires known_covariances")
+        if self.family == "student" and not self.dof > 2.0:
+            raise ValueError("Student-t dof must exceed 2")
 
 
 @dataclass
@@ -90,10 +92,6 @@ class FitResult:
         return float(self.loglik_trace[-1])
 
 
-def _kind_for(family: str) -> str:
-    return STUDENT_T if family == "student" else GAUSSIAN
-
-
 def _project_cov(cov: np.ndarray, structure: str) -> np.ndarray:
     d = cov.shape[0]
     if structure == "spherical":
@@ -114,6 +112,43 @@ def _safe_cov(x: np.ndarray) -> np.ndarray:
     return cov
 
 
+def _check_rows(data, q: int) -> np.ndarray:
+    x = validate_data(data)
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if x.shape[0] < q:
+        raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
+    return x
+
+
+def _kmeanspp(x: np.ndarray, q: int, rng: np.random.Generator):
+    """k-means++ centres (D^2 weighting; the sample mean if q=1), each row's nearest."""
+    n = x.shape[0]
+    if q == 1:
+        centers = x.mean(axis=0, keepdims=True)
+    else:
+        chosen = [int(rng.integers(n))]
+        d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+        for _ in range(q - 1):
+            total = float(d2.sum())
+            if total <= 0.0:  # every row equals a chosen centre
+                raise ValueError(f"need at least q={q} distinct rows")
+            pick = int(rng.choice(n, p=d2 / total))
+            chosen.append(pick)
+            d2 = np.minimum(d2, ((x - x[pick]) ** 2).sum(axis=1))
+        centers = x[np.array(chosen)]
+    dist2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    return centers, np.argmin(dist2, axis=1)
+
+
+def _pooled(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarray:
+    diff = x - centers[assign]
+    pooled = (diff.T @ diff) / x.shape[0]
+    if np.trace(pooled) <= 0:
+        pooled = _safe_cov(x)
+    return pooled
+
+
 def kmeanspp_init(
     data,
     q: int,
@@ -130,49 +165,12 @@ def kmeanspp_init(
     component starts at the pooled within-assignment covariance, projected
     onto the active structure.
     """
-    x = validate_data(data)
-    n, d = x.shape
-    if n < q:
-        raise ValueError(f"need at least q={q} rows, got {n}")
-    if q == 1:
-        centers = x.mean(axis=0, keepdims=True)
-    else:
-        chosen = [int(rng.integers(n))]
-        d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-        for _ in range(q - 1):
-            total = float(d2.sum())
-            if total > 0.0:
-                pick = int(rng.choice(n, p=d2 / total))
-            else:
-                remaining = np.setdiff1d(np.arange(n), np.array(chosen))
-                pick = int(rng.choice(remaining))
-            chosen.append(pick)
-            d2 = np.minimum(d2, ((x - x[pick]) ** 2).sum(axis=1))
-        centers = x[np.array(chosen)]
-
-    dist2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    assign = np.argmin(dist2, axis=1)
-    diff = x - centers[assign]
-    pooled = (diff.T @ diff) / n
-    if np.trace(pooled) <= 0:
-        pooled = _safe_cov(x)
-
-    kind = _kind_for(family)
-    comps = []
-    for j in range(q):
-        if structure == "known":
-            cov = np.asarray(known_covariances[j], dtype=float)
-        else:
-            cov = _project_cov(pooled, structure)
-        comps.append(
-            ComponentParams(kind=kind, mean=centers[j].copy(), scatter=cov,
-                            dof=dof if kind == STUDENT_T else None)
-        )
-    return MixtureParams(
-        weights=np.full(q, 1.0 / q),
-        components=tuple(comps),
-        structure=structure,
-    )
+    x = _check_rows(data, q)
+    centers, assign = _kmeanspp(x, q, rng)
+    scatters = (known_covariances if structure == "known"
+                else [_project_cov(_pooled(x, centers, assign), structure)] * q)
+    dof = float(dof) if family == "student" else None
+    return _to_params((np.full(q, 1.0 / q), centers, scatters), dof, structure)
 
 
 # The EM iterate is a plain tuple (weights, means, scatters, chols, log_dets)
@@ -193,7 +191,7 @@ def _theta(params: MixtureParams):
 
 
 def _to_params(theta, dof: float | None, structure: str) -> MixtureParams:
-    weights, means, scatters, _, _ = theta
+    weights, means, scatters = theta[:3]
     kind = GAUSSIAN if dof is None else STUDENT_T
     comps = tuple(
         ComponentParams(kind=kind, mean=m, scatter=s, dof=dof)
@@ -279,24 +277,22 @@ def _known_factors(cfg: EmConfig, q: int):
 
 
 def _run_start(x: np.ndarray, q: int, cfg: EmConfig, known, rng: np.random.Generator):
-    init = kmeanspp_init(
-        x,
-        q,
-        rng,
-        structure=cfg.structure,
-        known_covariances=cfg.known_covariances,
-        family=cfg.family,
-        dof=cfg.dof,
-    )
-    dof = init.components[0].dof
+    centers, assign = _kmeanspp(x, q, rng)
+    dof = float(cfg.dof) if cfg.family == "student" else None
     # first M-step from the hard k-means++ assignment; only the Student-t
-    # M-step reads the Mahalanobis distances under the initial parameters
-    theta = _theta(init)
-    dist2 = ((x[:, None, :] - theta[1][None, :, :]) ** 2).sum(axis=2)
-    one_hot = np.zeros((x.shape[0], q))
-    one_hot[np.arange(x.shape[0]), np.argmin(dist2, axis=1)] = 1.0
-    mahal0 = None if dof is None else _e_step(theta, dof, x)[1]
-    theta, n_reinit = _m_step(x, one_hot, mahal0, cfg, dof, known, rng)
+    # M-step reads the Mahalanobis distances under the initial scatter: the
+    # known one, or the projected pooled one, factored once for all components
+    mahal0 = None
+    if dof is not None:
+        if known is None:
+            pooled = _project_cov(_pooled(x, centers, assign), cfg.structure)
+            chol, log_det = _factorize(regularize_scatter(pooled))
+            chols, log_dets = (chol,) * q, (log_det,) * q
+        else:
+            _, chols, log_dets = known
+        mahal0 = np.empty((x.shape[0], q))
+        _log_weighted(x, np.zeros(q), centers, chols, log_dets, (dof,) * q, mahal0)
+    theta, n_reinit = _m_step(x, np.eye(q)[assign], mahal0, cfg, dof, known, rng)
 
     trace: list[float] = []
     converged = False
@@ -327,9 +323,7 @@ def fit_mixture(
     """
     cfg = config or EmConfig()
     cfg.validate()
-    x = validate_data(data)
-    if x.shape[0] < q:
-        raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
+    x = _check_rows(data, q)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     streams = rng.spawn(cfg.n_starts)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import _svg
 from .bootstrap import (
@@ -35,6 +36,8 @@ from .mixtures import (
     MixtureParams,
     _read_csv,
     load_data_csv,
+    mixture_from_json,
+    mixture_to_json,
     posterior_matrix,
     sample_mixture,
     validate_data,
@@ -277,9 +280,7 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
             truth = config.generator.truth_for(None)
         n = int(value) if config.sweep_kind == "n" else config.n
         alpha = float(value) if config.sweep_kind == "alpha" else config.alpha
-        per_proc: dict[str, list[tuple[float, float, int]]] = {
-            p: [] for p in config.procedures
-        }
+        point: list[RepDetail] = []
         for r in range(config.reps):
             rng = np.random.default_rng(np.random.SeedSequence([config.seed, j, r]))
             z, x = sample_mixture(truth, n, rng)
@@ -294,10 +295,7 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
                 continue
             for proc, sc in outcomes.items():
                 report = sample_fcr(z, sc.labels, sc.selection.selected)
-                per_proc[proc].append(
-                    (report.sample_fcr, report.selection_frequency, report.n_selected)
-                )
-                details.append(
+                point.append(
                     RepDetail(
                         procedure=proc,
                         sweep_value=float(value),
@@ -307,12 +305,13 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
                         n_selected=report.n_selected,
                     )
                 )
+        details.extend(point)
         for proc in config.procedures:
-            rows = per_proc[proc]
+            rows = [d for d in point if d.procedure == proc]
             if not rows:
                 continue
-            fcrs = np.array([row[0] for row in rows])
-            sels = np.array([row[1] for row in rows])
+            fcrs = np.array([d.fcr for d in rows])
+            sels = np.array([d.selection_frequency for d in rows])
             k = len(rows)
             cells.append(
                 SweepCell(
@@ -403,8 +402,6 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
         "epsilon": config.generator.epsilon,
     }
     if config.generator.params is not None:
-        from .mixtures import mixture_to_json
-
         gen["params"] = mixture_to_json(config.generator.params)
     refit = config.boot.refit
     return {
@@ -440,8 +437,6 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
 def scenario_from_json(obj: dict) -> ScenarioConfig:
     gen = obj["generator"]
     if "params" in gen and gen["params"] is not None:
-        from .mixtures import mixture_from_json
-
         spec = TruthSpec(family="fixed", params=mixture_from_json(gen["params"]))
     else:
         spec = TruthSpec(
@@ -556,9 +551,6 @@ def emit_outputs(result: SweepResult, out_dir) -> list[Path]:
         svg_path.write_text(svg)
         written.append(svg_path)
 
-    import numpy as _np
-    import scipy as _scipy
-
     from . import __version__
 
     manifest = {
@@ -569,8 +561,8 @@ def emit_outputs(result: SweepResult, out_dir) -> list[Path]:
         "failed_replications": result.failures,
         "versions": {
             "fcrcluster": __version__,
-            "numpy": _np.__version__,
-            "scipy": _scipy.__version__,
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
         },
     }
     manifest_path = out / "manifest.json"

@@ -143,6 +143,24 @@ class TestCalibration:
         with pytest.raises(ValueError, match="increasing"):
             cfg.validate()
 
+    @pytest.mark.parametrize("level", [1.5, 0.0])
+    @pytest.mark.parametrize("estimate", [fc.calibrate_level, fc.bootstrap_fcr])
+    def test_level_checked_before_resampling(self, monkeypatch, estimate, level):
+        _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
+
+        def no_resample(*args, **kwargs):
+            raise AssertionError("resampled before the level was checked")
+
+        monkeypatch.setattr(fc.bootstrap, "resample", no_resample)
+        cfg = fc.BootstrapConfig(b=3, refit=WarmStart(1), seed=1)
+        with pytest.raises(ValueError, match="alpha must lie in"):
+            estimate(x, params, level, cfg)
+
+    def test_negative_warm_iters_rejected(self):
+        with pytest.raises(ValueError, match="iters must be >= 0"):
+            fc.BootstrapConfig(refit=WarmStart(-1)).validate()
+        fc.BootstrapConfig(refit=WarmStart(0)).validate()
+
     def test_csv_export(self, tmp_path):
         curve = fc.BootstrapCurve(
             levels=np.array([0.05, 0.1]), fcr_hat=np.array([0.04, 0.09]), chosen_index=1

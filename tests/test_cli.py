@@ -114,3 +114,33 @@ def test_error_exit_code(tmp_path):
         ]
     )
     assert rc == 1
+
+
+def test_fit_rejects_q_below_one(data_csv, tmp_path, capsys):
+    rc = main(["fit", "--data", str(data_csv), "--q", "0",
+               "--out", str(tmp_path / "params.json")])
+    assert rc == 1
+    assert "q must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+        (["--alpha", "0"], "alpha must lie in (0, 1)"),
+        (["--alpha", "0.1", "--refit", "warm", "--warm-iters", "-1"], "iters must be >= 0"),
+    ],
+)
+def test_calibrate_rejects_bad_levels_and_iters(
+    data_csv, tmp_path, capsys, monkeypatch, extra, message
+):
+    def no_resample(*args, **kwargs):
+        raise AssertionError("resampled before the settings were checked")
+
+    monkeypatch.setattr(fc.bootstrap, "resample", no_resample)
+    out_dir = tmp_path / "report"
+    rc = main(["calibrate", "--data", str(data_csv), "--q", "2", "--b", "3",
+               "--out", str(out_dir), *extra])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not (out_dir / "report.txt").exists()

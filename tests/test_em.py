@@ -90,6 +90,24 @@ class TestKmeansppInit:
         with pytest.raises(ValueError, match="rows"):
             kmeanspp_init(np.zeros((1, 2)), 2, np.random.default_rng(0))
 
+    def test_rejects_q_below_one(self):
+        x = np.arange(10.0).reshape(5, 2)
+        for q in (0, -1):
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                kmeanspp_init(x, q, np.random.default_rng(0))
+            with pytest.raises(ValueError, match="q must be >= 1"):
+                fc.fit_mixture(x, q, EmConfig(n_starts=1))
+
+    def test_fewer_distinct_rows_than_q(self):
+        x = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
+        with pytest.raises(ValueError, match="need at least q=3 distinct rows"):
+            kmeanspp_init(x, 3, np.random.default_rng(0))
+        known = EmConfig(structure="known", known_covariances=tuple(
+            np.eye(2) * (j + 1) for j in range(3)))
+        for cfg in (EmConfig(), EmConfig(family="student"), known):
+            with pytest.raises(ValueError, match="need at least q=3 distinct rows"):
+                fc.fit_mixture(x, 3, cfg)
+
     def test_structure_projection(self):
         rng = np.random.default_rng(3)
         x = blobs(rng, [(0.0, 0.0)], 200) @ np.array([[1.0, 0.4], [0.0, 1.0]])
@@ -153,6 +171,27 @@ class TestGaussianEm:
     def test_known_requires_covariances(self):
         with pytest.raises(ValueError, match="known_covariances"):
             EmConfig(structure="known").validate()
+
+    def test_starts_build_no_mixture_params(self, monkeypatch):
+        # each start runs from k-means++ arrays; parameters are built and
+        # validated once, when the fit returns
+        def no_init(*args, **kwargs):
+            raise AssertionError("kmeanspp_init called by a start")
+
+        built = []
+        post_init = fc.MixtureParams.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(fc.em, "kmeanspp_init", no_init)
+        monkeypatch.setattr(fc.MixtureParams, "__post_init__", counting)
+        x = blobs(np.random.default_rng(2), [(0.0, 0.0), (4.0, 0.0)], 30)
+        for family in FAMILIES:
+            built.clear()
+            fc.fit_mixture(x, 2, EmConfig(family=family, n_starts=4, max_iter=5))
+            assert len(built) == 1
 
     def test_known_parts_checked_against_q(self):
         x = blobs(np.random.default_rng(17), [(0.0, 0.0), (4.0, 0.0)], 30)
@@ -232,6 +271,12 @@ class TestStudentEm:
         err_gauss = abs(gauss.params.components[0].mean[0] - target)
         err_student = abs(student.params.components[0].mean[0] - target)
         assert err_student < err_gauss
+
+    def test_dof_checked_at_the_boundary(self):
+        for dof in (1.0, 2.0, float("nan")):
+            with pytest.raises(ValueError, match="dof must exceed 2"):
+                EmConfig(family="student", dof=dof).validate()
+        EmConfig(family="gaussian", dof=1.0).validate()  # dof unused
 
     def test_dof_never_updated(self):
         rng = np.random.default_rng(15)
