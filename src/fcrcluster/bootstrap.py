@@ -8,19 +8,30 @@ estimate stays at or below the target.
 
 Resamples and refits are shared across grid levels: moving along the grid
 only moves the selection threshold, which changes no expectation and cuts
-the cost by a factor of the grid size.
+the cost by a factor of the grid size.  Full refits run the EM starts of a
+block of resamples as one stack, with the draws and the estimates of refits
+done one resample at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .em import EmConfig, em_steps, fit_mixture
+from .em import (
+    EmConfig,
+    _best,
+    _fit_runs,
+    _kmeanspp,
+    _known_factors,
+    em_steps,
+    fit_mixture,
+)
 from .mixtures import (
     MixtureParams,
     map_labels,
@@ -39,6 +50,10 @@ from .selection import (
 logger = logging.getLogger(__name__)
 
 MODES = ("parametric", "nonparametric")
+
+# Full refits of a calibration iterate as stacks of at most this many floats
+# of per-run data (rows times columns plus components), resamples whole.
+_BLOCK_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -86,6 +101,8 @@ class BootstrapConfig:
                 raise ValueError("grid must be strictly increasing")
         if isinstance(self.refit, WarmStart) and self.refit.iters < 0:
             raise ValueError("warm-start iters must be >= 0")
+        if isinstance(self.refit, FullRefit) and self.refit.em is not None:
+            self.refit.em.validate()
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,19 +182,94 @@ def _plugin_fcr_per_level(
     return values
 
 
-def _refit(
-    xb: np.ndarray,
-    theta_hat: MixtureParams,
-    cfg: BootstrapConfig,
-    em_cfg: EmConfig,
-    rng: np.random.Generator,
-) -> MixtureParams:
-    if isinstance(cfg.refit, WarmStart):
+def _draw(draw, start, attempt: int = 0):
+    """Draw a resample and start its refit, retrying once as a refit failure.
+
+    ``draw()`` returns the index of the draw and the resample; ``start(xb)``
+    raises ``ValueError`` or ``LinAlgError`` when the refit fails.  Returns
+    the attempt that started (``None`` after two failures: the original fit
+    stands in), the index, the resample and what ``start`` returned.
+    """
+    while True:
+        k, xb = draw()
+        try:
+            return attempt, k, xb, start(xb)
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            attempt = _failed(exc, attempt)
+            if attempt is None:
+                return None, k, xb, None
+
+
+def _failed(exc: Exception, attempt: int) -> int | None:
+    """Log a failed refit; the next attempt, or ``None`` after the second failure."""
+    if attempt == 0:
+        logger.warning("bootstrap refit failed (%s); retrying once", exc)
+        return 1
+    logger.warning("bootstrap refit failed twice (%s); keeping original fit", exc)
+    return None
+
+
+def _warm_refits(draw, theta_hat, cfg, em_cfg, rng):
+    """Warm-start refits, one resample at a time: their reinit draws share ``rng``."""
+    def refit(xb):
         if cfg.refit.iters == 0:
             return theta_hat
         return em_steps(xb, theta_hat, em_cfg, cfg.refit.iters, rng)
-    refit_cfg = cfg.refit.em or em_cfg
-    return fit_mixture(xb, theta_hat.q, refit_cfg, rng).params
+
+    for _ in range(cfg.b):
+        attempt, k, xb, theta_b = _draw(draw, refit)
+        yield k, xb, theta_hat if attempt is None else theta_b
+
+
+def _full_refits(draw, shape, theta_hat, cfg, refit_cfg, known, rng):
+    """Full refits, the starts of a block of resamples iterating as one EM stack.
+
+    Each resample is drawn and its start streams spawned in order, and its
+    k-means++ starts run at once, so the draws are those of a refit done
+    right after its resample.  A refit that fails later, while iterating or
+    when its parameters are built, is retried after its block.
+    """
+    q, starts = theta_hat.q, refit_cfg.n_starts
+    per_block = max(1, _BLOCK_ELEMENTS // (starts * shape[0] * (shape[1] + q)))
+
+    def start(xb):
+        streams = rng.spawn(starts)
+        return streams, [_kmeanspp(xb, q, s) for s in streams]
+
+    def fit(drawn):
+        """Refit started resamples as one stack: per resample, its parameters or error."""
+        if not drawn:
+            return []
+        try:
+            runs = _fit_runs(
+                np.repeat(np.stack([xb for _, _, xb, _ in drawn]), starts, axis=0),
+                q, refit_cfg, known,
+                [s for *_, (streams, _) in drawn for s in streams],
+                [st for *_, (_, sts) in drawn for st in sts],
+            )
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            return [exc] * len(drawn)
+        out = []
+        for i in range(0, len(runs), starts):
+            try:
+                out.append(_best(runs[i:i + starts], refit_cfg).params)
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                out.append(exc)
+        return out
+
+    for first in range(0, cfg.b, per_block):
+        drawn = [_draw(draw, start) for _ in range(min(per_block, cfg.b - first))]
+        fitted = iter(fit([dr for dr in drawn if dr[0] is not None]))
+        for attempt, k, xb, _ in drawn:
+            theta_b = theta_hat if attempt is None else next(fitted)
+            while isinstance(theta_b, Exception):
+                attempt = _failed(theta_b, attempt)
+                theta_b = theta_hat
+                if attempt is not None:
+                    attempt, k, xb, started = _draw(draw, start, attempt)
+                    if attempt is not None:
+                        [theta_b] = fit([(attempt, k, xb, started)])
+            yield k, xb, theta_b
 
 
 def _fcr_curve(
@@ -189,37 +281,39 @@ def _fcr_curve(
     rng: np.random.Generator | None,
 ) -> np.ndarray:
     x = validate_data(data)
+    if isinstance(cfg.refit, WarmStart):
+        refit_note = f"warm start, {cfg.refit.iters} EM iterations per resample"
+    else:
+        refit_cfg = cfg.refit.em or em_cfg
+        refit_cfg.validate()
+        known = _known_factors(refit_cfg, theta_hat.q)
+        refit_note = "full refit per resample"
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    refit_note = (
-        f"warm start, {cfg.refit.iters} EM iterations per resample"
-        if isinstance(cfg.refit, WarmStart)
-        else "full refit per resample"
-    )
     logger.info(
         "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b, refit_note
     )
-    sums = np.zeros(len(levels))
-    for _ in range(cfg.b):
-        theta_b = None
-        for attempt in range(2):
-            xb = resample(x, theta_hat, cfg.mode, rng)
-            try:
-                theta_b = _refit(xb, theta_hat, cfg, em_cfg, rng)
-                break
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                if attempt == 0:
-                    logger.warning("bootstrap refit failed (%s); retrying once", exc)
-                else:
-                    logger.warning(
-                        "bootstrap refit failed twice (%s); keeping original fit", exc
-                    )
-                    theta_b = theta_hat
+    draws = itertools.count()
+
+    def draw():
+        return next(draws), resample(x, theta_hat, cfg.mode, rng)
+
+    refits = (
+        _warm_refits(draw, theta_hat, cfg, em_cfg, rng)
+        if isinstance(cfg.refit, WarmStart)
+        else _full_refits(draw, x.shape, theta_hat, cfg, refit_cfg, known, rng)
+    )
+    scores = {}
+    for k, xb, theta_b in refits:
         post_b = posterior_matrix(theta_b, xb)
         ref_probs = posterior_matrix(theta_hat, xb).probs
-        sums += _plugin_fcr_per_level(
+        scores[k] = _plugin_fcr_per_level(
             post_b.t_values, map_labels(post_b), ref_probs, levels
         )
+    # summed in draw order, the order of refits done one resample at a time
+    sums = np.zeros(len(levels))
+    for k in sorted(scores):
+        sums += scores[k]
     return sums / cfg.b
 
 

@@ -33,7 +33,7 @@ from .harness import (
     scenario_from_json,
 )
 from .mixtures import load_data_csv, load_mixture_json, posterior_matrix
-from .selection import select_and_label, write_clustering_csv
+from .selection import _check_alpha, select_and_label, write_clustering_csv
 
 
 def _add_simulate(sub):
@@ -155,8 +155,6 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     x = load_data_csv(args.data)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     em_cfg = EmConfig(
         family=args.family, structure=args.structure, dof=args.dof, seed=args.seed
     )
@@ -167,6 +165,11 @@ def _cmd_calibrate(args) -> int:
         refit = FullRefit(replace(em_cfg, n_starts=args.refit_starts))
         refit_note = f"full EM per resample ({args.refit_starts} starts)"
     boot_cfg = BootstrapConfig(mode=args.mode, b=args.b, refit=refit, seed=args.seed)
+    # every setting is checked before the outer fit
+    _check_alpha(args.alpha)
+    boot_cfg.validate()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(args.seed)
     fit = fit_mixture(x, args.q, em_cfg, rng)
     curve = calibrate_level(x, fit.params, args.alpha, boot_cfg, em_cfg, rng)

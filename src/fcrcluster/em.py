@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .mixtures import (
     _factorize,
     _log_weighted,
     _normalize,
+    _regularize,
     mixture_to_json,
     regularize_scatter,
     validate_data,
@@ -93,11 +94,15 @@ class FitResult:
 
 
 def _project_cov(cov: np.ndarray, structure: str) -> np.ndarray:
-    d = cov.shape[0]
+    """Project a covariance, or a stack of them (..., d, d), onto ``structure``."""
+    d = cov.shape[-1]
     if structure == "spherical":
-        return (float(np.trace(cov)) / d) * np.eye(d)
+        return (np.trace(cov, axis1=-2, axis2=-1) / d)[..., None, None] * np.eye(d)
     if structure == "diagonal":
-        return np.diag(np.diag(cov))
+        out = np.zeros_like(cov)
+        i = np.arange(d)
+        out[..., i, i] = cov[..., i, i]
+        return out
     return cov
 
 
@@ -173,21 +178,54 @@ def kmeanspp_init(
     return _to_params((np.full(q, 1.0 / q), centers, scatters), dof, structure)
 
 
-# The EM iterate is a plain tuple (weights, means, scatters, chols, log_dets)
-# with shapes (Q,), (Q, d), (Q, d, d), (Q, d, d), (Q,), plus one dof (None for
-# Gaussian).  Scatters are regularized once when they are made; mixture
-# parameters are built, and so validated, only when a fit returns.
+# The EM iterate is a stack of R independent runs: a tuple (weights, means,
+# scatters, chols, log_dets) with shapes (R, Q), (R, Q, d), (R, Q, d, d),
+# (R, Q, d, d), (R, Q), plus one dof shared by the runs (None for Gaussian).
+# The data are shared, (n, d), or per run, (R, n, d).  Each step makes one
+# pass of numpy calls for the whole stack; the triangular solves go slice by
+# slice, and stacked products and factorizations make one LAPACK or BLAS call
+# per slice, so every run computes the bits it would compute alone.  Scatters
+# are regularized once when they are made; mixture parameters are built, and
+# so validated, only when a fit returns.
 
 
-def _factored(scatters: np.ndarray):
-    chols, log_dets = zip(*map(_factorize, scatters))
-    return scatters, np.stack(chols), np.array(log_dets)
+@dataclass(eq=False)
+class _Run:
+    """One EM run of a stack: its own stream, its trace and its outcome."""
+
+    rng: np.random.Generator
+    trace: list[float] = field(default_factory=list)
+    n_reinits: int = 0
+    converged: bool = False
+    theta: tuple | None = None  # the final iterate, without the run axis
+    error: Exception | None = None
+
+
+def _dof(cfg: EmConfig) -> float | None:
+    return float(cfg.dof) if cfg.family == "student" else None
+
+
+def _rows(x: np.ndarray, r: int) -> np.ndarray:
+    return x if x.ndim == 2 else x[r]
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of an (R, n, Q) stack, bit for bit.
+
+    For Q >= 2 numpy adds the rows in order, one short inner loop per row;
+    the same order over a transposed copy runs ~10x faster.  For Q = 1 it
+    sums each run pairwise, which the plain reduction does fast.
+    """
+    if a.shape[2] == 1:
+        return a.sum(axis=1)
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).sum(axis=0)
 
 
 def _theta(params: MixtureParams):
     comps = params.components
-    means = np.stack([c.mean for c in comps])
-    return (params.weights, means, *_factored(np.stack([c.scatter for c in comps])))
+    scatters = np.stack([c.scatter for c in comps])[None]
+    means = np.stack([c.mean for c in comps])[None]
+    return (params.weights[None], means, scatters, *_factorize(scatters))
 
 
 def _to_params(theta, dof: float | None, structure: str) -> MixtureParams:
@@ -201,11 +239,12 @@ def _to_params(theta, dof: float | None, structure: str) -> MixtureParams:
 
 
 def _e_step(theta, dof: float | None, x: np.ndarray):
-    """Responsibilities, squared Mahalanobis (Student-t only), log-likelihood."""
+    """Responsibilities, squared Mahalanobis (Student-t only), log-likelihoods."""
     weights, means, _, chols, log_dets = theta
-    mahal = None if dof is None else np.empty((x.shape[0], len(weights)))
+    runs, qn = weights.shape
+    mahal = None if dof is None else np.empty((runs, x.shape[-2], qn))
     lw = _log_weighted(
-        x, np.log(weights), means, chols, log_dets, (dof,) * len(weights), mahal
+        x, np.log(weights), means, chols, log_dets, (dof,) * qn, mahal
     )
     probs, loglik = _normalize(lw)
     return np.maximum(probs, 1e-300), mahal, loglik
@@ -218,47 +257,79 @@ def _m_step(
     cfg: EmConfig,
     dof: float | None,
     known,
-    rng: np.random.Generator,
+    runs: list[_Run],
 ):
-    """One constrained M-step; returns the new iterate and the reinit count.
+    """One constrained M-step on a stack; returns the new iterate.
 
-    A component is re-seeded at a random data point when its responsibility
-    mass collapses below 1/n or its updated scatter degenerates (EM driving
-    a covariance to singularity).  ``known`` holds the factored known
-    covariances, or ``None`` when covariances are estimated.
+    A component is re-seeded at a random row of its run's data, drawn from
+    the run's own stream in component order, when its responsibility mass
+    collapses below 1/n or its updated scatter fails a check of
+    ``regularize_scatter`` (EM driving a covariance to singularity).  Each
+    run counts its reinits; a run whose factorization fails gets the error.
+    ``known`` holds the factored known covariances, or ``None`` when
+    covariances are estimated.
     """
-    n, d = x.shape
-    qn = resp.shape[1]
-    mass = resp.sum(axis=0)
-    w = resp if dof is None else resp * ((dof + d) / (dof + mahal))
-    means = (w.T @ x) / w.sum(axis=0)[:, None]
-
-    reinit: list[int] = []
-    scatters = np.empty((qn, d, d))
-    for q in range(qn):
-        ok = mass[q] >= 1.0 / n
-        if ok and known is None:
-            diff = x - means[q]
-            cov = (w[:, q, None] * diff).T @ diff / mass[q]
-            try:
-                scatters[q] = regularize_scatter(_project_cov(cov, cfg.structure))
-            except ValueError:
-                ok = False
-        if not ok:
-            reinit.append(q)
-            means[q] = x[int(rng.integers(n))]
+    n_runs, n, qn = resp.shape
+    d = x.shape[-1]
+    mass = _sum_rows(resp)
+    if dof is None:
+        w, w_sum = resp, mass
+    else:
+        w = resp * ((dof + d) / (dof + mahal))
+        w_sum = _sum_rows(w)
+    means = np.matmul(w.transpose(0, 2, 1), x) / w_sum[..., None]
+    ok = mass >= 1.0 / n
+    if known is None:
+        # one (d, n) @ (n, d) product per run and component, as one matmul
+        diff = (x if x.ndim == 2 else x[:, None]) - means[:, :, None, :]
+        wdiff = w.transpose(0, 2, 1)[..., None] * diff
+        covs = np.matmul(wdiff.swapaxes(-1, -2), diff)
+        covs /= np.where(ok, mass, 1.0)[..., None, None]
+        del diff, wdiff
+        scatters, fail = _regularize(_project_cov(covs, cfg.structure))
+        ok &= fail == 0
+    redo = np.flatnonzero(~ok.all(axis=1))
+    for r in redo:
+        xr = _rows(x, r)
+        for q in np.flatnonzero(~ok[r]):
+            means[r, q] = xr[int(runs[r].rng.integers(n))]
             if known is None:
-                scatters[q] = regularize_scatter(_project_cov(_safe_cov(x), cfg.structure))
-    scatters, chols, log_dets = known or _factored(scatters)
+                scatters[r, q] = regularize_scatter(
+                    _project_cov(_safe_cov(xr), cfg.structure)
+                )
+        runs[r].n_reinits += int(qn - ok[r].sum())
+    if known is None:
+        chols, log_dets = _factor_runs(scatters, runs)
+    else:
+        scatters, chols, log_dets = (
+            np.broadcast_to(a, (n_runs, *a.shape)) for a in known
+        )
 
     if cfg.known_weights is not None:
-        weights = np.asarray(cfg.known_weights, dtype=float)
+        weights = np.tile(np.asarray(cfg.known_weights, dtype=float), (n_runs, 1))
     else:
         weights = mass / n
-        if reinit:
-            weights[reinit] = np.maximum(weights[reinit], 1.0 / n)
-            weights = weights / weights.sum()
-    return (weights, means, scatters, chols, log_dets), len(reinit)
+        for r in redo:
+            lifted = ~ok[r]
+            weights[r, lifted] = np.maximum(weights[r, lifted], 1.0 / n)
+            weights[r] = weights[r] / weights[r].sum()
+    return weights, means, scatters, chols, log_dets
+
+
+def _factor_runs(scatters: np.ndarray, runs: list[_Run]):
+    """``_factorize`` per run of a stack; a run whose factorization fails gets the error."""
+    try:
+        return _factorize(scatters)
+    except np.linalg.LinAlgError:
+        pass
+    chols = np.zeros_like(scatters)
+    log_dets = np.zeros(scatters.shape[:2])
+    for r, run in enumerate(runs):
+        try:
+            chols[r], log_dets[r] = _factorize(scatters[r])
+        except np.linalg.LinAlgError as exc:
+            run.error = exc
+    return chols, log_dets
 
 
 def _known_factors(cfg: EmConfig, q: int):
@@ -273,44 +344,106 @@ def _known_factors(cfg: EmConfig, q: int):
         return None
     if len(cfg.known_covariances) != q:
         raise ValueError(f"known_covariances must hold q={q} matrices")
-    return _factored(np.stack([regularize_scatter(c) for c in cfg.known_covariances]))
+    scatters = np.stack([regularize_scatter(c) for c in cfg.known_covariances])
+    return (scatters, *_factorize(scatters))
 
 
-def _run_start(x: np.ndarray, q: int, cfg: EmConfig, known, rng: np.random.Generator):
-    centers, assign = _kmeanspp(x, q, rng)
-    dof = float(cfg.dof) if cfg.family == "student" else None
+def _iterate(
+    x, theta, dof, cfg: EmConfig, known, runs: list[_Run], n_iter: int, fit: bool
+):
+    """EM on a stack of runs, each run on its own; fills in each run's ``theta``.
+
+    With ``fit`` each E-step's log-likelihood goes into the run's trace, a run
+    leaves the stack once it meets ``cfg.rel_tol`` or after ``n_iter``
+    M-steps and a last E-step; without it every run makes exactly ``n_iter``
+    E- and M-steps.  A run whose step fails leaves the stack with its error.
+    """
+    live = list(runs)
+
+    def leave(stop, *stacks):
+        nonlocal x, live
+        keep = ~stop
+        x = x if x.ndim == 2 else x[keep]
+        live = [run for run, k in zip(live, keep) if k]
+        return [None if a is None else a[keep] for a in stacks]
+
+    for step in range(n_iter + 1):
+        failed = np.array([run.error is not None for run in live])
+        if failed.any():
+            theta = tuple(leave(failed, *theta))
+        if not live or (step == n_iter and not fit):
+            break
+        resp, mahal, ll = _e_step(theta, dof, x)
+        if fit:
+            done = np.full(len(live), step == n_iter)
+            for i, (run, v) in enumerate(zip(live, ll.tolist())):
+                trace = run.trace
+                trace.append(v)
+                if (
+                    not done[i]
+                    and len(trace) > 1
+                    and cfg.rel_tol is not None
+                    and v - trace[-2] <= cfg.rel_tol * max(abs(trace[-2]), 1e-300)
+                ):
+                    run.converged = done[i] = True
+            if done.any():
+                for i in np.flatnonzero(done):
+                    live[i].theta = tuple(a[i] for a in theta)
+                *theta, resp, mahal = leave(done, *theta, resp, mahal)
+            if not live:
+                break
+        theta = _m_step(x, resp, mahal, cfg, dof, known, live)
+    for i, run in enumerate(live):
+        run.theta = tuple(a[i] for a in theta)
+
+
+def _fit_runs(x, q: int, cfg: EmConfig, known, streams, starts) -> list[_Run]:
+    """EM runs from k-means++ starts ``(centers, assign)``, one per stream, stacked."""
+    runs = [_Run(s) for s in streams]
+    dof = _dof(cfg)
+    centers = np.stack([c for c, _ in starts])
+    assign = np.stack([a for _, a in starts])
     # first M-step from the hard k-means++ assignment; only the Student-t
     # M-step reads the Mahalanobis distances under the initial scatter: the
     # known one, or the projected pooled one, factored once for all components
-    mahal0 = None
+    mahal = None
     if dof is not None:
         if known is None:
-            pooled = _project_cov(_pooled(x, centers, assign), cfg.structure)
-            chol, log_det = _factorize(regularize_scatter(pooled))
-            chols, log_dets = (chol,) * q, (log_det,) * q
+            pooled = np.stack([
+                regularize_scatter(_project_cov(
+                    _pooled(_rows(x, r), centers[r], assign[r]), cfg.structure))
+                for r in range(len(runs))
+            ])
+            chols, log_dets = (np.repeat(a[:, None], q, axis=1) for a in _factorize(pooled))
         else:
-            _, chols, log_dets = known
-        mahal0 = np.empty((x.shape[0], q))
-        _log_weighted(x, np.zeros(q), centers, chols, log_dets, (dof,) * q, mahal0)
-    theta, n_reinit = _m_step(x, np.eye(q)[assign], mahal0, cfg, dof, known, rng)
+            chols, log_dets = (np.broadcast_to(a, (len(runs), *a.shape)) for a in known[1:])
+        mahal = np.empty((len(runs), x.shape[-2], q))
+        _log_weighted(
+            x, np.zeros((len(runs), q)), centers, chols, log_dets, (dof,) * q, mahal
+        )
+    theta = _m_step(x, np.eye(q)[assign], mahal, cfg, dof, known, runs)
+    _iterate(x, theta, dof, cfg, known, runs, cfg.max_iter, fit=True)
+    return runs
 
-    trace: list[float] = []
-    converged = False
-    for _ in range(cfg.max_iter):
-        resp, mahal, ll = _e_step(theta, dof, x)
-        trace.append(ll)
-        if (
-            len(trace) > 1
-            and cfg.rel_tol is not None
-            and ll - trace[-2] <= cfg.rel_tol * max(abs(trace[-2]), 1e-300)
-        ):
-            converged = True
-            break
-        theta, k = _m_step(x, resp, mahal, cfg, dof, known, rng)
-        n_reinit += k
-    if not converged:
-        trace.append(_e_step(theta, dof, x)[2])
-    return theta, dof, trace, converged, n_reinit
+
+def _best(runs: list[_Run], cfg: EmConfig) -> FitResult:
+    """The run with the highest final log-likelihood, the first on ties.
+
+    The error of the first failed run is raised.
+    """
+    best = None
+    for run in runs:
+        if run.error is not None:
+            raise run.error
+        if best is None or run.trace[-1] > best.trace[-1]:
+            best = run
+    return FitResult(
+        params=_to_params(best.theta, _dof(cfg), cfg.structure),
+        loglik_trace=np.asarray(best.trace, dtype=float),
+        n_starts_run=len(runs),
+        converged=best.converged,
+        n_reinits=best.n_reinits,
+    )
 
 
 def fit_mixture(
@@ -318,8 +451,9 @@ def fit_mixture(
 ) -> FitResult:
     """Multi-start EM fit; the start with the highest log-likelihood wins.
 
-    Start-level RNG streams are split deterministically from the seed, so
-    the result does not depend on evaluation order.
+    Start-level RNG streams are split deterministically from the seed, and
+    the starts iterate as one stack in which each computes what it would
+    alone, so the result does not depend on evaluation order.
     """
     cfg = config or EmConfig()
     cfg.validate()
@@ -328,19 +462,8 @@ def fit_mixture(
         rng = np.random.default_rng(cfg.seed)
     streams = rng.spawn(cfg.n_starts)
     known = _known_factors(cfg, q)
-    best = None
-    for s in range(cfg.n_starts):
-        theta, dof, trace, converged, n_re = _run_start(x, q, cfg, known, streams[s])
-        if best is None or trace[-1] > best[2][-1]:
-            best = (theta, dof, trace, converged, n_re)
-    theta, dof, trace, converged, n_re = best
-    return FitResult(
-        params=_to_params(theta, dof, cfg.structure),
-        loglik_trace=np.asarray(trace, dtype=float),
-        n_starts_run=cfg.n_starts,
-        converged=converged,
-        n_reinits=n_re,
-    )
+    starts = [_kmeanspp(x, q, s) for s in streams]
+    return _best(_fit_runs(x, q, cfg, known, streams, starts), cfg)
 
 
 def em_fit(data, q: int, config: EmConfig | None = None,
@@ -367,11 +490,12 @@ def em_steps(
     """Run ``n_iter`` EM iterations from ``params`` (warm start, one start)."""
     x = validate_data(data)
     known = _known_factors(cfg, params.q)
-    theta, dof = _theta(params), params.components[0].dof
-    for _ in range(n_iter):
-        resp, mahal, _ = _e_step(theta, dof, x)
-        theta, _ = _m_step(x, resp, mahal, cfg, dof, known, rng)
-    return _to_params(theta, dof, cfg.structure)
+    dof = params.components[0].dof
+    run = _Run(rng)
+    _iterate(x, _theta(params), dof, cfg, known, [run], n_iter, fit=False)
+    if run.error is not None:
+        raise run.error
+    return _to_params(run.theta, dof, cfg.structure)
 
 
 def save_fit(result: FitResult, params_path, trace_path=None) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
@@ -28,6 +28,14 @@ COMPONENT_KINDS = (GAUSSIAN, STUDENT_T)
 STRUCTURES = ("known", "spherical", "diagonal", "full")
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+_SCATTER_ERRORS = (
+    None,
+    "scatter must be finite",
+    "scatter must be symmetric",
+    "scatter must be positive definite",
+)
 
 
 def regularize_scatter(scatter) -> np.ndarray:
@@ -41,24 +49,41 @@ def regularize_scatter(scatter) -> np.ndarray:
     s = np.asarray(scatter, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"scatter must be a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("scatter must be finite")
-    scale = float(np.abs(s).max())
-    if np.abs(s - s.T).max() > 1e-8 * max(scale, 1.0):
-        raise ValueError("scatter must be symmetric")
-    sym = 0.5 * (s + s.T)
-    d = sym.shape[0]
-    tr = float(np.trace(sym))
-    if tr <= 0.0:
-        raise ValueError("scatter must be positive definite")
-    floor = 1e-8 * tr / d
+    out, fail = _regularize(s[None])
+    if fail[0]:
+        raise ValueError(_SCATTER_ERRORS[fail[0]])
+    return out[0]
+
+
+def _regularize(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``regularize_scatter`` over a stack (..., d, d) of matrices, with one ``eigh``.
+
+    Returns the regularized stack and, per matrix, 0 or the index in
+    ``_SCATTER_ERRORS`` of the first check it fails; a failed matrix comes
+    back as the identity.
+    """
+    d = s.shape[-1]
+    eye = np.eye(d)
+    fail = np.where(np.isfinite(s).all(axis=(-2, -1)), 0, 1)
+    s = np.where(fail[..., None, None] == 0, s, eye)
+    t = s.swapaxes(-1, -2)
+    scale = np.abs(s).max(axis=(-2, -1))
+    asym = np.abs(s - t).max(axis=(-2, -1)) > 1e-8 * np.maximum(scale, 1.0)
+    fail[(fail == 0) & asym] = 2
+    sym = 0.5 * (s + t)
+    tr = np.trace(sym, axis1=-2, axis2=-1)
+    fail[(fail == 0) & (tr <= 0.0)] = 3
     evals, evecs = np.linalg.eigh(sym)
-    if evals[0] < -1e-8 * max(tr / d, 1.0):
-        raise ValueError("scatter must be positive definite")
-    if evals[0] >= floor:
-        return sym
-    lifted = (evecs * np.maximum(evals, 2.0 * floor)) @ evecs.T
-    return 0.5 * (lifted + lifted.T)
+    fail[(fail == 0) & (evals[..., 0] < -1e-8 * np.maximum(tr / d, 1.0))] = 3
+    floor = 1e-8 * tr / d
+    fire = (fail == 0) & (evals[..., 0] < floor)
+    if fire.any():
+        v = evecs[fire]
+        lam = np.maximum(evals[fire], 2.0 * floor[fire][:, None])
+        lifted = (v * lam[:, None, :]) @ v.swapaxes(-1, -2)
+        sym[fire] = 0.5 * (lifted + lifted.swapaxes(-1, -2))
+    sym[fail != 0] = eye
+    return sym, fail
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,10 +126,10 @@ class ComponentParams:
         return self.mean.size
 
 
-def _factorize(scatter: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor and log-determinant of a regularized scatter."""
-    chol = np.linalg.cholesky(scatter)
-    return chol, 2.0 * float(np.log(np.diag(chol)).sum())
+def _factorize(scatters: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors and log-determinants of regularized scatters (..., d, d)."""
+    chols = np.linalg.cholesky(scatters)
+    return chols, 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def _same_component(a: ComponentParams, b: ComponentParams) -> bool:
@@ -185,48 +210,99 @@ def validate_data(data) -> np.ndarray:
     return x
 
 
-def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndarray:
-    """The (n, Q) matrix of ``log(pi_q) + log f_q(x_i)``.
+_NONFINITE = "array must not contain infs or NaNs"
 
-    The one place a mixture log-density is computed, from plain per-component
-    arrays; ``dofs[q]`` is ``None`` for a Gaussian component.  The squared
-    Mahalanobis distances are stored in ``mahal`` when an (n, Q) array is given.
+
+def _mahalanobis(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis lengths of the rows of ``diff`` under a lower factor.
+
+    LAPACK ``dtrtrs`` with the arguments ``solve_triangular(chol, diff.T,
+    lower=True)`` passes for a C-ordered factor: the same routine and bits,
+    without the wrapper's cost.  ``diff`` is overwritten.
     """
-    d = x.shape[1]
-    lw = np.empty((x.shape[0], len(log_w)))
-    per_component = zip(log_w, means, chols, log_dets, dofs, strict=True)
-    for q, (log_wq, mean, chol, log_det, nu) in enumerate(per_component):
-        z = solve_triangular(chol, (x - mean).T, lower=True)
-        m = np.einsum("ij,ij->j", z, z)
-        del z  # d*n floats, freed before the density temporaries
-        if mahal is not None:
-            mahal[:, q] = m
+    z, info = lapack.dtrtrs(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}"
+        )
+    return np.einsum("ij,ij->j", z, z)
+
+
+def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndarray:
+    """The (R, n, Q) stack of ``log(pi_q) + log f_q(x_i)`` for R parameter sets.
+
+    The one place a mixture log-density is computed, from plain arrays with a
+    leading run axis: log-weights (R, Q), means (R, Q, d), lower Cholesky
+    factors (R, Q, d, d) and log-determinants (R, Q).  ``x`` is shared (n, d)
+    or per run (R, n, d); ``dofs[q]`` is ``None`` for a Gaussian component.
+    The squared Mahalanobis distances are stored in ``mahal`` when an
+    (R, n, Q) array is given.  As ``solve_triangular`` does, a non-finite
+    factor or difference ``x_i - mu_q`` raises ``ValueError``.
+    """
+    runs, qn = log_w.shape
+    n, d = x.shape[-2:]
+    if not np.isfinite(chols).all():
+        raise ValueError(_NONFINITE)
+    m = np.empty((runs, n, qn)) if mahal is None else mahal
+    for r in range(runs):
+        xr = x if x.ndim == 2 else x[r]
+        for q in range(qn):
+            m[r, :, q] = _mahalanobis(chols[r, q], xr - means[r, q])
+    if not np.isfinite(m).all():  # from a non-finite difference, or a harmless overflow
+        for r, q in zip(*np.nonzero(~np.isfinite(m).all(axis=1))):
+            if not np.isfinite((x if x.ndim == 2 else x[r]) - means[r, q]).all():
+                raise ValueError(_NONFINITE)
+    lw = np.empty((runs, n, qn))
+    for q, nu in zip(range(qn), dofs, strict=True):
         if nu is None:
-            lw[:, q] = log_wq - 0.5 * (d * _LOG_2PI + log_det + m)
+            lw[..., q] = log_w[:, q, None] - 0.5 * (
+                (d * _LOG_2PI + log_dets[:, q, None]) + m[..., q]
+            )
         else:
             const = (
                 math.lgamma(0.5 * (nu + d))
                 - math.lgamma(0.5 * nu)
                 - 0.5 * d * math.log(nu * math.pi)
-                - 0.5 * log_det
+                - 0.5 * log_dets[:, q]
             )
-            lw[:, q] = log_wq + const - 0.5 * (nu + d) * np.log1p(m / nu)
+            lw[..., q] = (log_w[:, q] + const)[:, None] - 0.5 * (nu + d) * np.log1p(
+                m[..., q] / nu
+            )
     return lw
 
 
-def _normalize(lw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rows of ``exp(lw)`` normalized by log-sum-exp, and the summed log normalizers."""
-    m = lw.max(axis=1, keepdims=True)
-    p = np.exp(lw - m)
-    s = p.sum(axis=1, keepdims=True)
-    return p / s, float((m[:, 0] + np.log(s[:, 0])).sum())
+def _normalize(lw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``exp(lw)`` normalized by log-sum-exp over the last axis, and
+    per run the summed log normalizers.
+
+    The max and the sum over the Q components go slice by slice: numpy
+    reduces a short last axis one row at a time, 20-50x slower, and adds
+    fewer than 8 terms in this same order (from 8 on it sums pairwise, so
+    that case keeps the reduction).
+    """
+    qn = lw.shape[-1]
+    m = lw[..., 0]
+    for q in range(1, qn):
+        m = np.maximum(m, lw[..., q])
+    p = lw - m[..., None]
+    np.exp(p, out=p)
+    if qn < 8:
+        s = p[..., 0].copy()
+        for q in range(1, qn):
+            s += p[..., q]
+    else:
+        s = p.sum(axis=-1)
+    p /= s[..., None]
+    return p, (m + np.log(s)).sum(axis=-1)
 
 
 def log_density_rows(component: ComponentParams, x: np.ndarray) -> np.ndarray:
     """Component log density evaluated at every row of ``x``."""
-    chol, log_det = _factorize(component.scatter)
-    lw = _log_weighted(x, (0.0,), (component.mean,), (chol,), (log_det,), (component.dof,))
-    return lw[:, 0]
+    chol, log_det = _factorize(component.scatter[None, None])
+    lw = _log_weighted(
+        x, np.zeros((1, 1)), component.mean[None, None], chol, log_det, (component.dof,)
+    )
+    return lw[0, :, 0]
 
 
 def log_density(component: ComponentParams, x) -> float:
@@ -271,12 +347,13 @@ def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix,
         )
         return empty, 0.0
     comps = params.components
-    chols, log_dets = zip(*(_factorize(c.scatter) for c in comps))
+    chols, log_dets = _factorize(np.stack([c.scatter for c in comps])[None])
     lw = _log_weighted(
-        x, np.log(params.weights), [c.mean for c in comps], chols, log_dets,
-        [c.dof for c in comps],
+        x, np.log(params.weights)[None], np.stack([c.mean for c in comps])[None],
+        chols, log_dets, [c.dof for c in comps],
     )
     probs, loglik = _normalize(lw)
+    probs, loglik = probs[0], float(loglik[0])
     t = np.clip(1.0 - probs.max(axis=1), 0.0, 1.0 - 1.0 / params.q)
     return PosteriorMatrix(probs=probs, t_values=t), loglik
 

@@ -172,6 +172,103 @@ class TestCalibration:
         assert len(lines) == 3
 
 
+def sequential_curve(x, params, levels, mode, b, refit_cfg, seed):
+    """fcr_hat of a calibration that refits each resample right after drawing
+    it, retrying a failed refit once, and the warnings it would log."""
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(len(levels))
+    logged = []
+    for _ in range(b):
+        for attempt in range(2):
+            xb = fc.resample(x, params, mode, rng)
+            try:
+                theta_b = fc.fit_mixture(xb, params.q, refit_cfg, rng).params
+                break
+            except (ValueError, np.linalg.LinAlgError) as exc:
+                if attempt == 0:
+                    logged.append(f"bootstrap refit failed ({exc}); retrying once")
+                else:
+                    logged.append(
+                        f"bootstrap refit failed twice ({exc}); keeping original fit")
+                    theta_b = params
+        post = fc.posterior_matrix(theta_b, xb)
+        ref_probs = fc.posterior_matrix(params, xb).probs
+        sums += _plugin_fcr_per_level(post.t_values, fc.map_labels(post), ref_probs, levels)
+    return sums / b, logged
+
+
+class TestStackedRefits:
+    """Full refits iterate as EM stacks; the curve is the one-at-a-time curve."""
+
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    @pytest.mark.parametrize("n_starts", [1, 2])
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    def test_matches_sequential_reference(self, monkeypatch, mode, n_starts, blocks):
+        _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
+        if blocks == "several":  # three resamples per block
+            monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 3 * n_starts * 80 * 4)
+        refit_cfg = fc.EmConfig(structure="diagonal", n_starts=n_starts, max_iter=30)
+        cfg = fc.BootstrapConfig(mode=mode, b=10, refit=FullRefit(refit_cfg), seed=18)
+        curve = fc.calibrate_level(x, params, 0.1, cfg)
+        expected, _ = sequential_curve(x, params, curve.levels, mode, 10, refit_cfg, 18)
+        assert np.array_equal(curve.fcr_hat, expected)
+
+    def test_retries_match_sequential_reference(self, caplog):
+        # exactly q distinct rows: a resample that draws one of them only has
+        # too few distinct rows for k-means++, so its refit fails and is retried
+        x = np.array([[0.0, 0.0]] * 2 + [[3.0, 1.0]] * 2)
+        em = fc.EmConfig(structure="known", known_covariances=(np.eye(2), 2.0 * np.eye(2)),
+                         n_starts=2, max_iter=20)
+        params = fc.fit_mixture(x, 2, em, np.random.default_rng(0)).params
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit(), seed=0)
+        with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
+            curve = fc.calibrate_level(x, params, 0.2, cfg, em)
+        expected, logged = sequential_curve(x, params, curve.levels, "nonparametric",
+                                            30, em, 0)
+        assert np.array_equal(curve.fcr_hat, expected)
+        assert caplog.messages == logged
+        assert any("retrying once" in m for m in logged)
+        assert any("failed twice" in m for m in logged)
+
+    def test_late_failures_match_sequential_reference(self, caplog):
+        # duplicate rows: some refits end on identical components, which only
+        # building their parameters detects; they are retried after the block
+        rng = np.random.default_rng(23)
+        x = np.vstack([3.0 * rng.normal(size=(3, 2))[rng.integers(0, 3, 12)],
+                       rng.normal(size=(2, 2))])
+        em = fc.EmConfig(structure="spherical", n_starts=2, max_iter=30)
+        params = fc.fit_mixture(x, 3, em, np.random.default_rng(23)).params
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=20, refit=FullRefit(), seed=23)
+        with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
+            curve = fc.calibrate_level(x, params, 0.2, cfg, em)
+        expected, logged = sequential_curve(x, params, curve.levels, "nonparametric",
+                                            20, em, 23)
+        assert np.array_equal(curve.fcr_hat, expected)
+        assert sorted(caplog.messages) == sorted(logged)
+        assert any("identical" in m for m in logged)
+
+    @pytest.mark.parametrize("estimate", [fc.calibrate_level, fc.bootstrap_fcr])
+    def test_refit_config_checked_before_resampling(self, monkeypatch, estimate):
+        # an invalid refit config used to fail every refit, each falling back
+        # to the original fit, so nothing was refitted and nothing raised
+        _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
+
+        def no_resample(*args, **kwargs):
+            raise AssertionError("resampled before the refit config was checked")
+
+        monkeypatch.setattr(fc.bootstrap, "resample", no_resample)
+        cases = [
+            (FullRefit(fc.EmConfig(n_starts=0)), None, "n_starts must be >= 1"),
+            (FullRefit(), fc.EmConfig(max_iter=0), "max_iter must be >= 1"),
+            (FullRefit(fc.EmConfig(structure="known", known_covariances=(np.eye(2),))),
+             None, "known_covariances must hold q=2 matrices"),
+        ]
+        for refit, em, message in cases:
+            cfg = fc.BootstrapConfig(b=3, refit=refit, seed=1)
+            with pytest.raises(ValueError, match=message):
+                estimate(x, params, 0.1, cfg, em)
+
+
 class TestBootstrapProcedure:
     def test_single_component_selects_everything(self):
         x = np.random.default_rng(0).normal(size=(60, 1))

@@ -144,3 +144,26 @@ def test_calibrate_rejects_bad_levels_and_iters(
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not (out_dir / "report.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--alpha", "1.5"], "alpha must lie in (0, 1)"),
+        (["--alpha", "0.1", "--refit", "warm", "--warm-iters", "-1"], "iters must be >= 0"),
+        (["--alpha", "0.1", "--refit-starts", "0"], "n_starts must be >= 1"),
+    ],
+)
+def test_calibrate_checks_settings_before_the_fit(
+    data_csv, tmp_path, capsys, monkeypatch, extra, message
+):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the settings were checked")
+
+    monkeypatch.setattr(fc.cli, "fit_mixture", no_fit)
+    out_dir = tmp_path / "report"
+    rc = main(["calibrate", "--data", str(data_csv), "--q", "2", "--b", "3",
+               "--out", str(out_dir), *extra])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()

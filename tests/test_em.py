@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import fcrcluster as fc
 from fcrcluster.em import FAMILIES, EmConfig, kmeanspp_init
-from fcrcluster.mixtures import STRUCTURES
+from fcrcluster.mixtures import GAUSSIAN, STRUCTURES
 
 
 def blobs(rng, centers, n_per, scale=1.0):
@@ -60,6 +62,59 @@ def test_fit_loglik_equals_mixture_loglik_exactly(structure, family):
     for data in (x, np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]])):
         fit = fc.fit_mixture(data, 2, cfg)
         assert fit.loglik == fc.mixture_loglik(fit.params, data)
+
+
+def start_rngs(seed, n_starts):
+    """Generators whose one spawned stream is stream ``s`` of ``default_rng(seed).spawn``."""
+    root = np.random.SeedSequence(seed)
+    return [
+        np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(root.entropy, n_children_spawned=s)))
+        for s in range(n_starts)
+    ]
+
+
+def stacked_inputs():
+    x, _ = small_input("full", GAUSSIAN)
+    return {
+        "blobs": x,
+        # the eigenvalue floor fires in the full fits
+        "duplicates": np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]]),
+        # one far row cannot hold a component: its mass collapses, it is re-seeded
+        "outlier": np.vstack([x[:60], [[1e4, -1e4]]]),
+    }
+
+
+@pytest.mark.parametrize("name", ["blobs", "duplicates", "outlier"])
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_stacked_starts_equal_one_start_runs(family, structure, name):
+    # the starts of a fit iterate as one stack; each must compute, bit for
+    # bit, what it computes as a one-start fit on the same spawned stream
+    x = stacked_inputs()[name]
+    _, cfg = small_input(structure, family)
+    cfg = replace(cfg, n_starts=4, max_iter=40)
+    fit = fc.fit_mixture(x, 2, cfg, np.random.default_rng(5))
+    alone = [fc.fit_mixture(x, 2, replace(cfg, n_starts=1), g) for g in start_rngs(5, 4)]
+    best = alone[0]
+    for other in alone[1:]:
+        if other.loglik > best.loglik:
+            best = other
+    assert np.array_equal(fit.loglik_trace, best.loglik_trace)
+    assert np.array_equal(fit.params.weights, best.params.weights)
+    for a, b in zip(fit.params.components, best.params.components):
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scatter, b.scatter)
+    assert (fit.converged, fit.n_reinits) == (best.converged, best.n_reinits)
+    if name == "outlier" and structure != "known":
+        assert sum(f.n_reinits for f in alone) > 0
+
+
+@pytest.mark.parametrize("qn", [1, 2, 3])
+def test_sum_rows_matches_plain_reduction(qn):
+    # the M-step sums responsibilities over rows through a transposed copy
+    # for speed; it must give numpy's own reduction, bit for bit
+    a = np.random.default_rng(qn).random((4, 300, qn)) * 1e3
+    assert np.array_equal(fc.em._sum_rows(a), a.sum(axis=1))
 
 
 class TestKmeansppInit:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcrcluster as fc
-from fcrcluster.mixtures import log_density_rows, regularize_scatter
+from fcrcluster.mixtures import _normalize, log_density_rows, regularize_scatter
 
 
 def two_gaussians_1d(mu2=2.0):
@@ -320,3 +320,16 @@ def test_t_law_matches_closed_form_tail():
     mc_tail = np.array([(t_values > t).mean() for t in grid])
     exact = np.array([fc.gaussian_t_tail(params, params, t) for t in grid])
     assert np.abs(mc_tail - exact).max() < 0.02
+
+
+@pytest.mark.parametrize("qn", [1, 2, 3, 7, 8, 9])
+def test_normalize_matches_plain_reductions(qn):
+    # the max and sum over components go slice by slice for speed; they must
+    # give numpy's own reductions over the last axis, bit for bit
+    lw = np.random.default_rng(qn).normal(scale=30.0, size=(3, 200, qn))
+    m = lw.max(axis=-1, keepdims=True)
+    p = np.exp(lw - m)
+    s = p.sum(axis=-1, keepdims=True)
+    probs, loglik = _normalize(lw)
+    assert np.array_equal(probs, p / s)
+    assert np.array_equal(loglik, (m[..., 0] + np.log(s[..., 0])).sum(axis=-1))
