@@ -16,7 +16,6 @@ done one resample at a time.
 from __future__ import annotations
 
 import csv
-import itertools
 import logging
 from dataclasses import dataclass, field
 
@@ -182,31 +181,23 @@ def _plugin_fcr_per_level(
     return values
 
 
-def _draw(draw, start, attempt: int = 0):
+def _draw(draw, start):
     """Draw a resample and start its refit, retrying once as a refit failure.
 
-    ``draw()`` returns the index of the draw and the resample; ``start(xb)``
-    raises ``ValueError`` or ``LinAlgError`` when the refit fails.  Returns
-    the attempt that started (``None`` after two failures: the original fit
-    stands in), the index, the resample and what ``start`` returned.
+    ``start(xb)`` raises ``ValueError`` or ``LinAlgError`` when the refit
+    fails.  Returns the resample and what ``start`` returned, or ``None``
+    after two failures: the original fit stands in.
     """
-    while True:
-        k, xb = draw()
+    for attempt in range(2):
+        xb = draw()
         try:
-            return attempt, k, xb, start(xb)
+            return xb, start(xb)
         except (ValueError, np.linalg.LinAlgError) as exc:
-            attempt = _failed(exc, attempt)
-            if attempt is None:
-                return None, k, xb, None
-
-
-def _failed(exc: Exception, attempt: int) -> int | None:
-    """Log a failed refit; the next attempt, or ``None`` after the second failure."""
-    if attempt == 0:
-        logger.warning("bootstrap refit failed (%s); retrying once", exc)
-        return 1
-    logger.warning("bootstrap refit failed twice (%s); keeping original fit", exc)
-    return None
+            if attempt:
+                logger.warning("bootstrap refit failed twice (%s); keeping original fit", exc)
+            else:
+                logger.warning("bootstrap refit failed (%s); retrying once", exc)
+    return xb, None
 
 
 def _warm_refits(draw, theta_hat, cfg, em_cfg, rng):
@@ -217,8 +208,8 @@ def _warm_refits(draw, theta_hat, cfg, em_cfg, rng):
         return em_steps(xb, theta_hat, em_cfg, cfg.refit.iters, rng)
 
     for _ in range(cfg.b):
-        attempt, k, xb, theta_b = _draw(draw, refit)
-        yield k, xb, theta_hat if attempt is None else theta_b
+        xb, theta_b = _draw(draw, refit)
+        yield xb, theta_hat if theta_b is None else theta_b
 
 
 def _full_refits(draw, shape, theta_hat, cfg, refit_cfg, known, rng):
@@ -227,7 +218,7 @@ def _full_refits(draw, shape, theta_hat, cfg, refit_cfg, known, rng):
     Each resample is drawn and its start streams spawned in order, and its
     k-means++ starts run at once, so the draws are those of a refit done
     right after its resample.  A refit that fails later, while iterating or
-    when its parameters are built, is retried after its block.
+    when its parameters are built, keeps the original fit.
     """
     q, starts = theta_hat.q, refit_cfg.n_starts
     per_block = max(1, _BLOCK_ELEMENTS // (starts * shape[0] * (shape[1] + q)))
@@ -236,40 +227,23 @@ def _full_refits(draw, shape, theta_hat, cfg, refit_cfg, known, rng):
         streams = rng.spawn(starts)
         return streams, [_kmeanspp(xb, q, s) for s in streams]
 
-    def fit(drawn):
-        """Refit started resamples as one stack: per resample, its parameters or error."""
-        if not drawn:
-            return []
-        try:
-            runs = _fit_runs(
-                np.repeat(np.stack([xb for _, _, xb, _ in drawn]), starts, axis=0),
-                q, refit_cfg, known,
-                [s for *_, (streams, _) in drawn for s in streams],
-                [st for *_, (_, sts) in drawn for st in sts],
-            )
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            return [exc] * len(drawn)
-        out = []
-        for i in range(0, len(runs), starts):
-            try:
-                out.append(_best(runs[i:i + starts], refit_cfg).params)
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                out.append(exc)
-        return out
-
     for first in range(0, cfg.b, per_block):
         drawn = [_draw(draw, start) for _ in range(min(per_block, cfg.b - first))]
-        fitted = iter(fit([dr for dr in drawn if dr[0] is not None]))
-        for attempt, k, xb, _ in drawn:
-            theta_b = theta_hat if attempt is None else next(fitted)
-            while isinstance(theta_b, Exception):
-                attempt = _failed(theta_b, attempt)
-                theta_b = theta_hat
-                if attempt is not None:
-                    attempt, k, xb, started = _draw(draw, start, attempt)
-                    if attempt is not None:
-                        [theta_b] = fit([(attempt, k, xb, started)])
-            yield k, xb, theta_b
+        begun = [(xb, st) for xb, st in drawn if st is not None]
+        runs = iter(_fit_runs(
+            np.repeat(np.stack([xb for xb, _ in begun]), starts, axis=0),
+            q, refit_cfg, known,
+            [s for _, (streams, _) in begun for s in streams],
+            [st for _, (_, sts) in begun for st in sts],
+        ) if begun else ())
+        for xb, started in drawn:
+            theta_b = theta_hat
+            if started is not None:
+                try:
+                    theta_b = _best([next(runs) for _ in range(starts)], refit_cfg).params
+                except (ValueError, np.linalg.LinAlgError) as exc:
+                    logger.warning("bootstrap refit failed (%s); keeping original fit", exc)
+            yield xb, theta_b
 
 
 def _fcr_curve(
@@ -293,27 +267,22 @@ def _fcr_curve(
     logger.info(
         "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b, refit_note
     )
-    draws = itertools.count()
 
     def draw():
-        return next(draws), resample(x, theta_hat, cfg.mode, rng)
+        return resample(x, theta_hat, cfg.mode, rng)
 
     refits = (
         _warm_refits(draw, theta_hat, cfg, em_cfg, rng)
         if isinstance(cfg.refit, WarmStart)
         else _full_refits(draw, x.shape, theta_hat, cfg, refit_cfg, known, rng)
     )
-    scores = {}
-    for k, xb, theta_b in refits:
+    sums = np.zeros(len(levels))
+    for xb, theta_b in refits:
         post_b = posterior_matrix(theta_b, xb)
         ref_probs = posterior_matrix(theta_hat, xb).probs
-        scores[k] = _plugin_fcr_per_level(
+        sums += _plugin_fcr_per_level(
             post_b.t_values, map_labels(post_b), ref_probs, levels
         )
-    # summed in draw order, the order of refits done one resample at a time
-    sums = np.zeros(len(levels))
-    for k in sorted(scores):
-        sums += scores[k]
     return sums / cfg.b
 
 

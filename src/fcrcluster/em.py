@@ -43,9 +43,10 @@ FAMILIES = (GAUSSIAN, "student")
 class EmConfig:
     """Settings for multi-start EM.
 
-    ``rel_tol`` enables an early stop on the relative log-likelihood gain;
-    set it to ``None`` to always run ``max_iter`` iterations.  ``family``
-    selects the component family for :func:`fit_mixture`.
+    ``rel_tol`` enables an early stop once the log-likelihood changes by at
+    most that much relative (a larger drop does not stop); set it to
+    ``None`` to always run ``max_iter`` iterations.  ``family`` selects the
+    component family for :func:`fit_mixture`.
     """
 
     family: str = GAUSSIAN
@@ -78,7 +79,8 @@ class FitResult:
     """Best-of-starts EM outcome.
 
     ``loglik_trace`` is the per-iteration log-likelihood of the winning
-    start (non-decreasing up to 1e-8 slack); ``n_reinits`` counts degenerate
+    start (non-decreasing up to 1e-8 slack, except that it may drop at a
+    step that re-seeded a component); ``n_reinits`` counts degenerate
     components that were re-seeded at a random data point.
     """
 
@@ -264,7 +266,8 @@ def _m_step(
     A component is re-seeded at a random row of its run's data, drawn from
     the run's own stream in component order, when its responsibility mass
     collapses below 1/n or its updated scatter fails a check of
-    ``regularize_scatter`` (EM driving a covariance to singularity).  Each
+    ``regularize_scatter`` (EM driving a covariance to singularity), then
+    until none is left when it duplicates another (``_duplicates``).  Each
     run counts its reinits; a run whose factorization fails gets the error.
     ``known`` holds the factored known covariances, or ``None`` when
     covariances are estimated.
@@ -288,32 +291,59 @@ def _m_step(
         del diff, wdiff
         scatters, fail = _regularize(_project_cov(covs, cfg.structure))
         ok &= fail == 0
-    redo = np.flatnonzero(~ok.all(axis=1))
-    for r in redo:
-        xr = _rows(x, r)
-        for q in np.flatnonzero(~ok[r]):
-            means[r, q] = xr[int(runs[r].rng.integers(n))]
-            if known is None:
-                scatters[r, q] = regularize_scatter(
-                    _project_cov(_safe_cov(xr), cfg.structure)
-                )
-        runs[r].n_reinits += int(qn - ok[r].sum())
-    if known is None:
-        chols, log_dets = _factor_runs(scatters, runs)
     else:
         scatters, chols, log_dets = (
             np.broadcast_to(a, (n_runs, *a.shape)) for a in known
         )
 
+    redo = ~ok
+    while redo is not None:
+        if redo.any():
+            for r in np.flatnonzero(redo.any(axis=1)):
+                xr = _rows(x, r)
+                for q in np.flatnonzero(redo[r]):
+                    means[r, q] = xr[int(runs[r].rng.integers(n))]
+                    if known is None:
+                        scatters[r, q] = regularize_scatter(
+                            _project_cov(_safe_cov(xr), cfg.structure)
+                        )
+                runs[r].n_reinits += int(redo[r].sum())
+            ok &= ~redo
+        redo = _duplicates(x, means, scatters, runs)
+    if known is None:
+        chols, log_dets = _factor_runs(scatters, runs)
+
     if cfg.known_weights is not None:
         weights = np.tile(np.asarray(cfg.known_weights, dtype=float), (n_runs, 1))
     else:
         weights = mass / n
-        for r in redo:
+        for r in np.flatnonzero(~ok.all(axis=1)):
             lifted = ~ok[r]
             weights[r, lifted] = np.maximum(weights[r, lifted], 1.0 / n)
             weights[r] = weights[r] / weights[r].sum()
     return weights, means, scatters, chols, log_dets
+
+
+def _duplicates(x, means: np.ndarray, scatters: np.ndarray, runs: list[_Run]):
+    """Per run and component of a stack, whether it equals an earlier one
+    of its run in mean and scatter; ``None`` when none does.
+
+    A run with fewer than Q distinct rows cannot be rid of its duplicates:
+    it gets that as its error instead.
+    """
+    n_runs, qn, d = means.shape
+    eq = means[:, :, None] == means[:, None]
+    if np.count_nonzero(eq) == n_runs * qn * d:  # no two means share a coordinate
+        return None
+    same = eq.all(axis=-1) & np.tri(qn, k=-1, dtype=bool)
+    r, j, i = np.nonzero(same)
+    same[r, j, i] = (scatters[r, j] == scatters[r, i]).all(axis=(-2, -1))
+    dup = same.any(axis=2)
+    for r in np.flatnonzero(dup.any(axis=1)):
+        if runs[r].error is None and len(np.unique(_rows(x, r), axis=0)) < qn:
+            runs[r].error = ValueError(f"need at least q={qn} distinct rows")
+        dup[r] &= runs[r].error is None
+    return dup if dup.any() else None
 
 
 def _factor_runs(scatters: np.ndarray, runs: list[_Run]):
@@ -383,7 +413,7 @@ def _iterate(
                     not done[i]
                     and len(trace) > 1
                     and cfg.rel_tol is not None
-                    and v - trace[-2] <= cfg.rel_tol * max(abs(trace[-2]), 1e-300)
+                    and abs(v - trace[-2]) <= cfg.rel_tol * max(abs(trace[-2]), 1e-300)
                 ):
                     run.converged = done[i] = True
             if done.any():

@@ -2,8 +2,9 @@
 
 Mixture components are identifiable only up to a permutation of the labels,
 so every score here minimizes over all relabelings of the predictions.  The
-permutation search is exhaustive (Q <= 8), which keeps it usable as an
-independent oracle for the assignment-solver route used in the bootstrap.
+permutation search is exhaustive for Q <= 8, which keeps it usable as an
+independent oracle for the assignment-solver route used in the bootstrap;
+above that, scoring takes the assignment-solver route too.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.special import ndtr
 
 from .mixtures import (
@@ -83,27 +85,41 @@ def best_permutation(true_labels, pred_labels, selection) -> tuple[tuple[int, ..
     """Relabeling of the predictions minimizing errors on the selected set.
 
     Returns ``(perm, error_count)`` where ``perm[c]`` is the class that
-    predicted class ``c`` maps to.  Exhaustive over all Q! permutations;
-    ties resolve to the lexicographically smallest permutation.
+    predicted class ``c`` maps to.  Exhaustive over all Q! permutations up to
+    ``MAX_EXHAUSTIVE_Q``, ties resolving to the lexicographically smallest
+    permutation; above it the assignment solver finds an optimal relabeling.
     """
     true_arr = _as_labels(true_labels)
     pred_arr = _as_labels(pred_labels, true_arr.size)
     sel = np.asarray(selection, dtype=np.int64).reshape(-1)
     qn = int(max(true_arr.max(initial=0), pred_arr.max(initial=0))) + 1
-    if qn > MAX_EXHAUSTIVE_Q:
-        raise ValueError(f"exhaustive permutation search limited to Q <= {MAX_EXHAUSTIVE_Q}")
     confusion = np.zeros((qn, qn), dtype=np.int64)
     if sel.size:
         np.add.at(confusion, (true_arr[sel], pred_arr[sel]), 1)
-    cols = np.arange(qn)
+    search = _exhaustive if qn <= MAX_EXHAUSTIVE_Q else _assignment
+    perm, matches = search(confusion)
+    return perm, int(sel.size) - matches
+
+
+def _exhaustive(confusion: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """The first permutation with the most matches ``confusion[perm[c], c]``, and those."""
+    cols = np.arange(len(confusion))
     best_perm_found: tuple[int, ...] | None = None
     best_matches = -1
-    for perm in itertools.permutations(range(qn)):
+    for perm in itertools.permutations(range(len(confusion))):
         matches = int(confusion[np.asarray(perm), cols].sum())
         if matches > best_matches:
             best_matches = matches
             best_perm_found = perm
-    return best_perm_found, int(sel.size) - best_matches
+    return best_perm_found, best_matches
+
+
+def _assignment(confusion: np.ndarray) -> tuple[tuple[int, ...], int]:
+    """A permutation with the most matches by the assignment solver, and those."""
+    rows, cols = linear_sum_assignment(confusion, maximize=True)
+    perm = np.empty(len(cols), dtype=np.int64)
+    perm[cols] = rows
+    return tuple(perm.tolist()), int(confusion[rows, cols].sum())
 
 
 def sample_fcr(true_labels, pred_labels, selection) -> FcrReport:

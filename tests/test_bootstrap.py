@@ -172,13 +172,14 @@ class TestCalibration:
         assert len(lines) == 3
 
 
-def sequential_curve(x, params, levels, mode, b, refit_cfg, seed):
+def sequential_curve(x, params, levels, mode, b, refit_cfg, seed, keep_original=()):
     """fcr_hat of a calibration that refits each resample right after drawing
-    it, retrying a failed refit once, and the warnings it would log."""
+    it, retrying a failed refit once, and the warnings it would log; the
+    resamples numbered in ``keep_original`` are scored under ``params``."""
     rng = np.random.default_rng(seed)
     sums = np.zeros(len(levels))
     logged = []
-    for _ in range(b):
+    for i in range(b):
         for attempt in range(2):
             xb = fc.resample(x, params, mode, rng)
             try:
@@ -191,6 +192,8 @@ def sequential_curve(x, params, levels, mode, b, refit_cfg, seed):
                     logged.append(
                         f"bootstrap refit failed twice ({exc}); keeping original fit")
                     theta_b = params
+        if i in keep_original:
+            theta_b = params
         post = fc.posterior_matrix(theta_b, xb)
         ref_probs = fc.posterior_matrix(params, xb).probs
         sums += _plugin_fcr_per_level(post.t_values, fc.map_labels(post), ref_probs, levels)
@@ -230,9 +233,9 @@ class TestStackedRefits:
         assert any("retrying once" in m for m in logged)
         assert any("failed twice" in m for m in logged)
 
-    def test_late_failures_match_sequential_reference(self, caplog):
-        # duplicate rows: some refits end on identical components, which only
-        # building their parameters detects; they are retried after the block
+    def test_duplicate_rows_refit_without_late_failures(self, caplog):
+        # duplicate rows: refits used to end on identical components, which
+        # only building their parameters detected; EM now re-seeds them
         rng = np.random.default_rng(23)
         x = np.vstack([3.0 * rng.normal(size=(3, 2))[rng.integers(0, 3, 12)],
                        rng.normal(size=(2, 2))])
@@ -244,8 +247,54 @@ class TestStackedRefits:
         expected, logged = sequential_curve(x, params, curve.levels, "nonparametric",
                                             20, em, 23)
         assert np.array_equal(curve.fcr_hat, expected)
-        assert sorted(caplog.messages) == sorted(logged)
-        assert any("identical" in m for m in logged)
+        assert caplog.messages == logged
+        assert not any("identical" in m for m in logged)
+
+    def test_block_size_does_not_move_the_curve(self, monkeypatch):
+        # 8 rows from 3 points plus noise: refits that failed late were
+        # retried after their block, so fcr_hat moved with the block size
+        rng = np.random.default_rng(3)
+        x = np.vstack([3.0 * rng.normal(size=(3, 2))[rng.integers(0, 3, 6)],
+                       rng.normal(size=(2, 2))])
+        em = fc.EmConfig(structure="spherical", n_starts=2, max_iter=30)
+        params = fc.fit_mixture(x, 3, em, np.random.default_rng(3)).params
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit(), seed=3)
+        curve = fc.calibrate_level(x, params, 0.2, cfg, em)
+        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 1)
+        alone = fc.calibrate_level(x, params, 0.2, cfg, em)
+        assert np.array_equal(curve.fcr_hat, alone.fcr_hat)
+
+    @pytest.mark.parametrize("blocks", ["one", "several"])
+    def test_late_failure_keeps_original_fit(self, monkeypatch, caplog, blocks):
+        # a refit that fails after its starts is scored under the original
+        # fit, with one warning, and draws no further resample
+        _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
+        if blocks == "several":  # three resamples per block
+            monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 3 * 2 * 80 * 4)
+        best, resample = fc.bootstrap._best, fc.bootstrap.resample
+        fits, draws = [], []
+
+        def failing_best(runs, cfg):
+            fits.append(None)
+            if len(fits) == 5:
+                raise np.linalg.LinAlgError("boom")
+            return best(runs, cfg)
+
+        def counted_resample(*args):
+            draws.append(None)
+            return resample(*args)
+
+        monkeypatch.setattr(fc.bootstrap, "_best", failing_best)
+        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
+        refit_cfg = fc.EmConfig(structure="diagonal", n_starts=2, max_iter=30)
+        cfg = fc.BootstrapConfig(mode="parametric", b=10, refit=FullRefit(refit_cfg), seed=18)
+        with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
+            curve = fc.calibrate_level(x, params, 0.1, cfg)
+        assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
+        assert len(draws) == 10
+        expected, _ = sequential_curve(x, params, curve.levels, "parametric", 10,
+                                       refit_cfg, 18, keep_original=(4,))
+        assert np.array_equal(curve.fcr_hat, expected)
 
     @pytest.mark.parametrize("estimate", [fc.calibrate_level, fc.bootstrap_fcr])
     def test_refit_config_checked_before_resampling(self, monkeypatch, estimate):

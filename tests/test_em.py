@@ -308,6 +308,48 @@ class TestGaussianEm:
         assert np.all(np.isfinite(fit.loglik_trace))
 
 
+def repeated_rows(seed):
+    """12 rows: 10 drawn from 3 points, plus 2 noise rows."""
+    rng = np.random.default_rng(seed)
+    return np.vstack([3.0 * rng.normal(size=(3, 2))[rng.integers(0, 3, 10)],
+                      rng.normal(size=(2, 2))])
+
+
+class TestDegenerateEm:
+    """Repeated rows drive components together; EM must end on distinct ones."""
+
+    def test_identical_components_reseeded(self):
+        # the first seed of 0-199 whose fit ended on two identical components
+        # (components re-seeded at the same row with the same scatter)
+        cfg = EmConfig(structure="spherical", n_starts=2, max_iter=30)
+        fit = fc.fit_mixture(repeated_rows(93), 3, cfg, np.random.default_rng(93))
+        assert fit.n_reinits > 0
+        means = np.stack([c.mean for c in fit.params.components])
+        assert len(np.unique(means, axis=0)) == 3
+
+    def test_loglik_drop_is_not_convergence(self):
+        # a reinit drops the trace from 3606.6 to 2368.0; the drop is below
+        # rel_tol as a gain, but it is not a stop
+        cfg = EmConfig(structure="spherical", n_starts=1, max_iter=30)
+        fit = fc.fit_mixture(repeated_rows(18), 3, cfg, np.random.default_rng(18))
+        trace = fit.loglik_trace
+        assert np.diff(trace).min() < -1000.0
+        assert fit.converged
+        assert abs(trace[-1] - trace[-2]) <= cfg.rel_tol * abs(trace[-2])
+
+    def test_warm_start_with_fewer_distinct_rows_than_q(self):
+        # two distinct rows cannot hold three distinct components
+        x = np.array([[0.0, 0.0]] * 4 + [[3.0, 1.0]] * 4)
+        comps = tuple(
+            fc.ComponentParams(fc.mixtures.STUDENT_T, m, v * np.eye(2))
+            for m, v in (((0.0, 0.0), 1.0), ((0.1, 0.0), 1.5), ((3.0, 1.0), 1.0))
+        )
+        params = fc.MixtureParams(np.full(3, 1 / 3), comps, "full")
+        cfg = EmConfig(family="student", structure="full")
+        with pytest.raises(ValueError, match="need at least q=3 distinct rows"):
+            fc.em_steps(x, params, cfg, 10, np.random.default_rng(0))
+
+
 class TestStudentEm:
     def test_symmetric_two_point_mean_zero(self):
         x = np.array([[-3.0], [3.0]])

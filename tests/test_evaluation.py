@@ -33,10 +33,16 @@ class TestBestPermutation:
         perm, err = fc.best_permutation(true, pred, np.array([0, 2]))
         assert err == 0 and perm == (0, 1)
 
-    def test_q_cap(self):
-        labels = list(range(9))
-        with pytest.raises(ValueError, match="Q <= 8"):
-            fc.best_permutation(labels, labels, np.arange(9))
+    def test_assignment_solver_above_the_cap(self):
+        # Q = 9 is past the exhaustive search; relabeled predictions still
+        # score zero errors, and one moved item one error
+        true = np.arange(18) % 9
+        pred = (true + 4) % 9
+        perm, err = fc.best_permutation(true, pred, np.arange(18))
+        assert err == 0
+        assert all(perm[p] == t for t, p in zip(true, pred))
+        pred[0] = pred[1]
+        assert fc.best_permutation(true, pred, np.arange(18))[1] == 1
 
     def test_lexicographic_tie_break(self):
         # empty selection: every permutation scores 0 errors
@@ -57,6 +63,18 @@ class TestBestPermutation:
             np.add.at(confusion, (true[sel], pred[sel]), 1)
         rows, cols = linear_sum_assignment(-confusion)
         assert err == sel.size - confusion[rows, cols].sum()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(0, 40))
+    def test_exhaustive_and_assignment_routes_agree(self, seed, q, n):
+        # the exhaustive search is the oracle for the route taken above Q = 8
+        rng = np.random.default_rng(seed)
+        confusion = np.zeros((q, q), dtype=np.int64)
+        np.add.at(confusion, (rng.integers(0, q, n), rng.integers(0, q, n)), 1)
+        perm, matches = fc.evaluation._assignment(confusion)
+        assert sorted(perm) == list(range(q))
+        assert matches == confusion[np.asarray(perm), np.arange(q)].sum()
+        assert matches == fc.evaluation._exhaustive(confusion)[1]
 
 
 class TestSampleFcr:

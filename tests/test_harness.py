@@ -150,6 +150,23 @@ class TestRunScenario:
         assert cell.mean_fcr < 0.05
         assert cell.mean_selection > 0.9
 
+    def test_nine_component_fixed_truth_completes(self):
+        # Q = 9 is past the exhaustive permutation search used in scoring
+        comps = tuple(
+            fc.ComponentParams("gaussian", 4.0 * np.array([i % 3, i // 3]), np.eye(2))
+            for i in range(9)
+        )
+        truth = fc.MixtureParams(np.full(9, 1 / 9), comps)
+        cfg = scenario_from_json({
+            "name": "nine", "generator": {"params": fc.mixture_to_json(truth)},
+            "n": 90, "reps": 2, "procedures": ["oracle"],
+            "sweep": {"kind": "alpha", "values": [0.1]}, "alpha": 0.1,
+        })
+        res = fc.run_scenario(cfg)
+        assert res.failures == []
+        assert len(res.details) == 2
+        assert res.cells[0].mean_fcr < 0.1
+
 
 class TestEmitOutputs:
     def test_empty_result_header_only(self, tmp_path):
