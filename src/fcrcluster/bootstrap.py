@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -26,13 +26,15 @@ from .em import (
     EmConfig,
     _best,
     _fit_runs,
-    _kmeanspp,
+    _iterate,
     _known_factors,
-    em_steps,
+    _Run,
+    _theta,
     fit_mixture,
 )
 from .mixtures import (
     MixtureParams,
+    _t_values,
     map_labels,
     posterior_matrix,
     sample_mixture,
@@ -98,9 +100,13 @@ class BootstrapConfig:
                 raise ValueError("grid levels must lie in (0, 1)")
             if np.any(np.diff(g) <= 0.0):
                 raise ValueError("grid must be strictly increasing")
-        if isinstance(self.refit, WarmStart) and self.refit.iters < 0:
-            raise ValueError("warm-start iters must be >= 0")
-        if isinstance(self.refit, FullRefit) and self.refit.em is not None:
+        if isinstance(self.refit, WarmStart):
+            iters = self.refit.iters
+            if not isinstance(iters, (int, np.integer)) or iters < 0:
+                raise ValueError(f"warm-start iters must be >= 0 and whole, got {iters!r}")
+        elif not isinstance(self.refit, FullRefit):
+            raise ValueError(f"refit must be a WarmStart or a FullRefit, got {self.refit!r}")
+        elif self.refit.em is not None:
             self.refit.em.validate()
 
 
@@ -150,25 +156,22 @@ def choose_level(fcr_hat: np.ndarray, alpha: float) -> int | None:
 
 
 def _plugin_fcr_per_level(
-    t_hat: np.ndarray,
-    z_hat: np.ndarray,
-    ref_probs: np.ndarray,
-    levels: np.ndarray,
+    probs: np.ndarray, ref_probs: np.ndarray, levels: np.ndarray
 ) -> np.ndarray:
     """Per-level FCR of one resample, minimized over label permutations.
 
-    ``t_hat`` and ``z_hat`` come from the refitted parameters on the
-    resample, ``ref_probs`` are the posterior probabilities of the resampled
-    rows under the reference fit (the parameters estimated on the original
-    data), which stand in for the truth.
+    ``probs`` is the refit's posterior on the resample, whose risks and MAP
+    labels the plug-in uses; ``ref_probs`` are the posterior probabilities
+    of the resampled rows under the reference fit (the parameters estimated
+    on the original data), which stand in for the truth.
     """
     n, qn = ref_probs.shape
-    order, _, ks = kstar_grid(t_hat, levels)
+    order, _, ks = kstar_grid(_t_values(probs), levels)
     # cumulative per-class posterior mass along the selection order:
     # cum[k-1, c, r] = sum over the k lowest-risk items with predicted class
     # c of the reference posterior for class r
     one_hot = np.zeros((n, qn))
-    one_hot[np.arange(n), z_hat[order]] = 1.0
+    one_hot[np.arange(n), np.argmax(probs, axis=1)[order]] = 1.0
     contrib = one_hot[:, :, None] * ref_probs[order][:, None, :]
     cum = np.cumsum(contrib, axis=0)
     values = np.zeros(len(levels))
@@ -181,69 +184,43 @@ def _plugin_fcr_per_level(
     return values
 
 
-def _draw(draw, start):
-    """Draw a resample and start its refit, retrying once as a refit failure.
-
-    ``start(xb)`` raises ``ValueError`` or ``LinAlgError`` when the refit
-    fails.  Returns the resample and what ``start`` returned, or ``None``
-    after two failures: the original fit stands in.
-    """
-    for attempt in range(2):
-        xb = draw()
-        try:
-            return xb, start(xb)
-        except (ValueError, np.linalg.LinAlgError) as exc:
-            if attempt:
-                logger.warning("bootstrap refit failed twice (%s); keeping original fit", exc)
-            else:
-                logger.warning("bootstrap refit failed (%s); retrying once", exc)
-    return xb, None
+def _refit_probs(runs):
+    """The winning run's last responsibilities, or ``None`` when the refit
+    failed: the original fit stands in."""
+    try:
+        return _best(runs).probs
+    except (ValueError, np.linalg.LinAlgError) as exc:
+        logger.warning("bootstrap refit failed (%s); keeping original fit", exc)
+        return None
 
 
-def _warm_refits(draw, theta_hat, cfg, em_cfg, rng):
+def _warm_refits(draw, theta_hat, cfg, em_cfg, known, rng):
     """Warm-start refits, one resample at a time: their reinit draws share ``rng``."""
-    def refit(xb):
-        if cfg.refit.iters == 0:
-            return theta_hat
-        return em_steps(xb, theta_hat, em_cfg, cfg.refit.iters, rng)
-
+    warm_cfg = replace(em_cfg, max_iter=cfg.refit.iters, rel_tol=None)
+    theta, dof = _theta(theta_hat), theta_hat.components[0].dof
     for _ in range(cfg.b):
-        xb, theta_b = _draw(draw, refit)
-        yield xb, theta_hat if theta_b is None else theta_b
+        xb, run = draw(), _Run(rng)
+        if cfg.refit.iters:  # else the run keeps no probs: the original fit stands in
+            _iterate(xb, theta, dof, warm_cfg, known, [run])
+        yield xb, _refit_probs([run])
 
 
-def _full_refits(draw, shape, theta_hat, cfg, refit_cfg, known, rng):
+def _full_refits(draw, shape, q, cfg, refit_cfg, known, rng):
     """Full refits, the starts of a block of resamples iterating as one EM stack.
 
-    Each resample is drawn and its start streams spawned in order, and its
-    k-means++ starts run at once, so the draws are those of a refit done
-    right after its resample.  A refit that fails later, while iterating or
-    when its parameters are built, keeps the original fit.
+    Each resample is drawn and its start streams spawned in order, so the
+    draws are those of a refit done right after its resample.
     """
-    q, starts = theta_hat.q, refit_cfg.n_starts
+    starts = refit_cfg.n_starts
     per_block = max(1, _BLOCK_ELEMENTS // (starts * shape[0] * (shape[1] + q)))
-
-    def start(xb):
-        streams = rng.spawn(starts)
-        return streams, [_kmeanspp(xb, q, s) for s in streams]
-
     for first in range(0, cfg.b, per_block):
-        drawn = [_draw(draw, start) for _ in range(min(per_block, cfg.b - first))]
-        begun = [(xb, st) for xb, st in drawn if st is not None]
-        runs = iter(_fit_runs(
-            np.repeat(np.stack([xb for xb, _ in begun]), starts, axis=0),
-            q, refit_cfg, known,
-            [s for _, (streams, _) in begun for s in streams],
-            [st for _, (_, sts) in begun for st in sts],
-        ) if begun else ())
-        for xb, started in drawn:
-            theta_b = theta_hat
-            if started is not None:
-                try:
-                    theta_b = _best([next(runs) for _ in range(starts)], refit_cfg).params
-                except (ValueError, np.linalg.LinAlgError) as exc:
-                    logger.warning("bootstrap refit failed (%s); keeping original fit", exc)
-            yield xb, theta_b
+        block = [(draw(), rng.spawn(starts)) for _ in range(min(per_block, cfg.b - first))]
+        runs = _fit_runs(
+            np.repeat(np.stack([xb for xb, _ in block]), starts, axis=0),
+            q, refit_cfg, known, [s for _, streams in block for s in streams],
+        )
+        for i, (xb, _) in enumerate(block):
+            yield xb, _refit_probs(runs[i * starts:(i + 1) * starts])
 
 
 def _fcr_curve(
@@ -255,34 +232,30 @@ def _fcr_curve(
     rng: np.random.Generator | None,
 ) -> np.ndarray:
     x = validate_data(data)
-    if isinstance(cfg.refit, WarmStart):
-        refit_note = f"warm start, {cfg.refit.iters} EM iterations per resample"
-    else:
-        refit_cfg = cfg.refit.em or em_cfg
-        refit_cfg.validate()
-        known = _known_factors(refit_cfg, theta_hat.q)
-        refit_note = "full refit per resample"
+    warm = isinstance(cfg.refit, WarmStart)
+    refit_cfg = em_cfg if warm else cfg.refit.em or em_cfg
+    refit_cfg.validate()
+    known = _known_factors(refit_cfg, theta_hat.q)
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     logger.info(
-        "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b, refit_note
+        "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b,
+        f"warm start, {cfg.refit.iters} EM iterations per resample" if warm
+        else "full refit per resample",
     )
 
     def draw():
         return resample(x, theta_hat, cfg.mode, rng)
 
     refits = (
-        _warm_refits(draw, theta_hat, cfg, em_cfg, rng)
-        if isinstance(cfg.refit, WarmStart)
-        else _full_refits(draw, x.shape, theta_hat, cfg, refit_cfg, known, rng)
+        _warm_refits(draw, theta_hat, cfg, refit_cfg, known, rng)
+        if warm
+        else _full_refits(draw, x.shape, theta_hat.q, cfg, refit_cfg, known, rng)
     )
     sums = np.zeros(len(levels))
-    for xb, theta_b in refits:
-        post_b = posterior_matrix(theta_b, xb)
+    for xb, probs in refits:
         ref_probs = posterior_matrix(theta_hat, xb).probs
-        sums += _plugin_fcr_per_level(
-            post_b.t_values, map_labels(post_b), ref_probs, levels
-        )
+        sums += _plugin_fcr_per_level(ref_probs if probs is None else probs, ref_probs, levels)
     return sums / cfg.b
 
 

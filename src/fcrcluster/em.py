@@ -200,6 +200,7 @@ class _Run:
     n_reinits: int = 0
     converged: bool = False
     theta: tuple | None = None  # the final iterate, without the run axis
+    probs: np.ndarray | None = None  # the responsibilities of its last E-step
     error: Exception | None = None
 
 
@@ -378,15 +379,15 @@ def _known_factors(cfg: EmConfig, q: int):
     return (scatters, *_factorize(scatters))
 
 
-def _iterate(
-    x, theta, dof, cfg: EmConfig, known, runs: list[_Run], n_iter: int, fit: bool
-):
-    """EM on a stack of runs, each run on its own; fills in each run's ``theta``.
+def _iterate(x, theta, dof, cfg: EmConfig, known, runs: list[_Run]):
+    """EM on a stack of runs, each run on its own; fills in each run's
+    ``theta`` and ``probs``.
 
-    With ``fit`` each E-step's log-likelihood goes into the run's trace, a run
-    leaves the stack once it meets ``cfg.rel_tol`` or after ``n_iter``
-    M-steps and a last E-step; without it every run makes exactly ``n_iter``
-    E- and M-steps.  A run whose step fails leaves the stack with its error.
+    Each E-step's log-likelihood goes into the run's trace.  A run leaves the
+    stack after an E-step, once it meets ``cfg.rel_tol`` or after
+    ``cfg.max_iter`` M-steps, with a copy of that E-step's responsibilities
+    (a view would keep the whole stack alive).  A run whose step fails
+    leaves the stack with its error.
     """
     live = list(runs)
 
@@ -397,39 +398,51 @@ def _iterate(
         live = [run for run, k in zip(live, keep) if k]
         return [None if a is None else a[keep] for a in stacks]
 
-    for step in range(n_iter + 1):
+    for step in range(cfg.max_iter + 1):
         failed = np.array([run.error is not None for run in live])
         if failed.any():
             theta = tuple(leave(failed, *theta))
-        if not live or (step == n_iter and not fit):
+        if not live:
             break
         resp, mahal, ll = _e_step(theta, dof, x)
-        if fit:
-            done = np.full(len(live), step == n_iter)
-            for i, (run, v) in enumerate(zip(live, ll.tolist())):
-                trace = run.trace
-                trace.append(v)
-                if (
-                    not done[i]
-                    and len(trace) > 1
-                    and cfg.rel_tol is not None
-                    and abs(v - trace[-2]) <= cfg.rel_tol * max(abs(trace[-2]), 1e-300)
-                ):
-                    run.converged = done[i] = True
-            if done.any():
-                for i in np.flatnonzero(done):
-                    live[i].theta = tuple(a[i] for a in theta)
-                *theta, resp, mahal = leave(done, *theta, resp, mahal)
+        done = np.full(len(live), step == cfg.max_iter)
+        for i, (run, v) in enumerate(zip(live, ll.tolist())):
+            trace = run.trace
+            trace.append(v)
+            if (
+                not done[i]
+                and len(trace) > 1
+                and cfg.rel_tol is not None
+                and abs(v - trace[-2]) <= cfg.rel_tol * max(abs(trace[-2]), 1e-300)
+            ):
+                run.converged = done[i] = True
+        if done.any():
+            for i in np.flatnonzero(done):
+                live[i].theta = tuple(a[i] for a in theta)
+                live[i].probs = resp[i].copy()
+            *theta, resp, mahal = leave(done, *theta, resp, mahal)
             if not live:
                 break
         theta = _m_step(x, resp, mahal, cfg, dof, known, live)
-    for i, run in enumerate(live):
-        run.theta = tuple(a[i] for a in theta)
 
 
-def _fit_runs(x, q: int, cfg: EmConfig, known, streams, starts) -> list[_Run]:
-    """EM runs from k-means++ starts ``(centers, assign)``, one per stream, stacked."""
-    runs = [_Run(s) for s in streams]
+def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
+    """EM runs from k-means++ starts, one per stream, stacked.
+
+    A run whose data have fewer than q distinct rows gets that as its error
+    at its start and does not iterate.
+    """
+    runs, starts = [_Run(s) for s in streams], []
+    for r, run in enumerate(runs):
+        try:
+            starts.append(_kmeanspp(_rows(x, r), q, run.rng))
+        except ValueError as exc:
+            run.error = exc
+    begun = [run for run in runs if run.error is None]
+    if not begun:
+        return runs
+    if x.ndim == 3 and len(begun) < len(runs):
+        x = x[[run.error is None for run in runs]]
     dof = _dof(cfg)
     centers = np.stack([c for c, _ in starts])
     assign = np.stack([a for _, a in starts])
@@ -442,21 +455,21 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams, starts) -> list[_Run]:
             pooled = np.stack([
                 regularize_scatter(_project_cov(
                     _pooled(_rows(x, r), centers[r], assign[r]), cfg.structure))
-                for r in range(len(runs))
+                for r in range(len(begun))
             ])
             chols, log_dets = (np.repeat(a[:, None], q, axis=1) for a in _factorize(pooled))
         else:
-            chols, log_dets = (np.broadcast_to(a, (len(runs), *a.shape)) for a in known[1:])
-        mahal = np.empty((len(runs), x.shape[-2], q))
+            chols, log_dets = (np.broadcast_to(a, (len(begun), *a.shape)) for a in known[1:])
+        mahal = np.empty((len(begun), x.shape[-2], q))
         _log_weighted(
-            x, np.zeros((len(runs), q)), centers, chols, log_dets, (dof,) * q, mahal
+            x, np.zeros((len(begun), q)), centers, chols, log_dets, (dof,) * q, mahal
         )
-    theta = _m_step(x, np.eye(q)[assign], mahal, cfg, dof, known, runs)
-    _iterate(x, theta, dof, cfg, known, runs, cfg.max_iter, fit=True)
+    theta = _m_step(x, np.eye(q)[assign], mahal, cfg, dof, known, begun)
+    _iterate(x, theta, dof, cfg, known, begun)
     return runs
 
 
-def _best(runs: list[_Run], cfg: EmConfig) -> FitResult:
+def _best(runs: list[_Run]) -> _Run:
     """The run with the highest final log-likelihood, the first on ties.
 
     The error of the first failed run is raised.
@@ -467,13 +480,7 @@ def _best(runs: list[_Run], cfg: EmConfig) -> FitResult:
             raise run.error
         if best is None or run.trace[-1] > best.trace[-1]:
             best = run
-    return FitResult(
-        params=_to_params(best.theta, _dof(cfg), cfg.structure),
-        loglik_trace=np.asarray(best.trace, dtype=float),
-        n_starts_run=len(runs),
-        converged=best.converged,
-        n_reinits=best.n_reinits,
-    )
+    return best
 
 
 def fit_mixture(
@@ -491,9 +498,14 @@ def fit_mixture(
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     streams = rng.spawn(cfg.n_starts)
-    known = _known_factors(cfg, q)
-    starts = [_kmeanspp(x, q, s) for s in streams]
-    return _best(_fit_runs(x, q, cfg, known, streams, starts), cfg)
+    best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q), streams))
+    return FitResult(
+        params=_to_params(best.theta, _dof(cfg), cfg.structure),
+        loglik_trace=np.asarray(best.trace, dtype=float),
+        n_starts_run=cfg.n_starts,
+        converged=best.converged,
+        n_reinits=best.n_reinits,
+    )
 
 
 def em_fit(data, q: int, config: EmConfig | None = None,
@@ -517,15 +529,14 @@ def em_steps(
     n_iter: int,
     rng: np.random.Generator,
 ) -> MixtureParams:
-    """Run ``n_iter`` EM iterations from ``params`` (warm start, one start)."""
+    """Run ``n_iter`` EM iterations from ``params`` (warm start, one start):
+    the fit loop with ``max_iter=n_iter`` and no early stop."""
     x = validate_data(data)
-    known = _known_factors(cfg, params.q)
     dof = params.components[0].dof
     run = _Run(rng)
-    _iterate(x, _theta(params), dof, cfg, known, [run], n_iter, fit=False)
-    if run.error is not None:
-        raise run.error
-    return _to_params(run.theta, dof, cfg.structure)
+    _iterate(x, _theta(params), dof, replace(cfg, max_iter=n_iter, rel_tol=None),
+             _known_factors(cfg, params.q), [run])
+    return _to_params(_best([run]).theta, dof, cfg.structure)
 
 
 def save_fit(result: FitResult, params_path, trace_path=None) -> None:

@@ -394,6 +394,28 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+def _em_to_json(em: EmConfig) -> dict:
+    return {
+        "family": em.family,
+        "structure": em.structure,
+        "max_iter": em.max_iter,
+        "n_starts": em.n_starts,
+        "rel_tol": em.rel_tol,
+        "dof": em.dof,
+    }
+
+
+def _em_from_json(obj: dict) -> EmConfig:
+    return EmConfig(
+        family=obj.get("family", "gaussian"),
+        structure=obj.get("structure", "full"),
+        max_iter=int(obj.get("max_iter", 100)),
+        n_starts=int(obj.get("n_starts", 10)),
+        rel_tol=obj.get("rel_tol", 1e-8),
+        dof=float(obj.get("dof", 4.0)),
+    )
+
+
 def scenario_to_json(config: ScenarioConfig) -> dict:
     gen = {
         "family": config.generator.family,
@@ -412,14 +434,7 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
         "procedures": list(config.procedures),
         "sweep": {"kind": config.sweep_kind, "values": list(config.sweep_values)},
         "alpha": config.alpha,
-        "em": {
-            "family": config.em.family,
-            "structure": config.em.structure,
-            "max_iter": config.em.max_iter,
-            "n_starts": config.em.n_starts,
-            "rel_tol": config.em.rel_tol,
-            "dof": config.em.dof,
-        },
+        "em": _em_to_json(config.em),
         "boot": {
             "mode": config.boot.mode,
             "b": config.boot.b,
@@ -427,7 +442,7 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
             "refit": (
                 {"warm_start": refit.iters}
                 if isinstance(refit, WarmStart)
-                else {"full_refit": True}
+                else {"full_refit": True if refit.em is None else _em_to_json(refit.em)}
             ),
         },
         "seed": config.seed,
@@ -445,21 +460,13 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
             d=int(gen.get("d", 2)),
             epsilon=gen.get("epsilon"),
         )
-    em_obj = obj.get("em", {})
-    em_cfg = EmConfig(
-        family=em_obj.get("family", "gaussian"),
-        structure=em_obj.get("structure", "full"),
-        max_iter=int(em_obj.get("max_iter", 100)),
-        n_starts=int(em_obj.get("n_starts", 10)),
-        rel_tol=em_obj.get("rel_tol", 1e-8),
-        dof=float(em_obj.get("dof", 4.0)),
-    )
     boot_obj = obj.get("boot", {})
     refit_obj = boot_obj.get("refit", {"full_refit": True})
     if "warm_start" in refit_obj:
         refit = WarmStart(iters=int(refit_obj["warm_start"]))
     else:
-        refit = FullRefit()
+        full = refit_obj.get("full_refit")
+        refit = FullRefit(_em_from_json(full) if isinstance(full, dict) else None)
     boot_cfg = BootstrapConfig(
         mode=boot_obj.get("mode", "parametric"),
         b=int(boot_obj.get("b", 1000)),
@@ -476,7 +483,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         sweep_kind=sweep["kind"],
         sweep_values=tuple(float(v) for v in sweep["values"]),
         alpha=float(obj["alpha"]),
-        em=em_cfg,
+        em=_em_from_json(obj.get("em", {})),
         boot=boot_cfg,
         seed=int(obj.get("seed", 0)),
     )

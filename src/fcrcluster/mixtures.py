@@ -353,9 +353,12 @@ def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix,
         chols, log_dets, [c.dof for c in comps],
     )
     probs, loglik = _normalize(lw)
-    probs, loglik = probs[0], float(loglik[0])
-    t = np.clip(1.0 - probs.max(axis=1), 0.0, 1.0 - 1.0 / params.q)
-    return PosteriorMatrix(probs=probs, t_values=t), loglik
+    return PosteriorMatrix(probs=probs[0], t_values=_t_values(probs[0])), float(loglik[0])
+
+
+def _t_values(probs: np.ndarray) -> np.ndarray:
+    """Per row of an (n, Q) probability matrix, ``1 - max_q``, in ``[0, 1 - 1/Q]``."""
+    return np.clip(1.0 - probs.max(axis=1), 0.0, 1.0 - 1.0 / probs.shape[1])
 
 
 def posterior_matrix(params: MixtureParams, data) -> PosteriorMatrix:

@@ -68,11 +68,8 @@ class TestEstimator:
         # mean selected risk of the plug-in on the original data
         _, _, x, params = fitted_pair(eps=2.0, n=150, seed=3)
         post = fc.posterior_matrix(params, x)
-        labels = fc.map_labels(post)
         for alpha in (0.05, 0.1, 0.2):
-            vals = _plugin_fcr_per_level(
-                post.t_values, labels, post.probs, np.array([alpha])
-            )
+            vals = _plugin_fcr_per_level(post.probs, post.probs, np.array([alpha]))
             sel = fc.cumulative_select(post.t_values, alpha)
             expected = (
                 post.t_values[sel.selected].mean() if sel.k_star else 0.0
@@ -157,8 +154,11 @@ class TestCalibration:
             estimate(x, params, level, cfg)
 
     def test_negative_warm_iters_rejected(self):
-        with pytest.raises(ValueError, match="iters must be >= 0"):
-            fc.BootstrapConfig(refit=WarmStart(-1)).validate()
+        for refit, message in ((WarmStart(-1), "iters must be >= 0"),
+                               (WarmStart(2.5), "iters must be >= 0 and whole"),
+                               (None, "refit must be a WarmStart or a FullRefit")):
+            with pytest.raises(ValueError, match=message):
+                fc.BootstrapConfig(refit=refit).validate()
         fc.BootstrapConfig(refit=WarmStart(0)).validate()
 
     def test_csv_export(self, tmp_path):
@@ -174,30 +174,84 @@ class TestCalibration:
 
 def sequential_curve(x, params, levels, mode, b, refit_cfg, seed, keep_original=()):
     """fcr_hat of a calibration that refits each resample right after drawing
-    it, retrying a failed refit once, and the warnings it would log; the
-    resamples numbered in ``keep_original`` are scored under ``params``."""
+    it, and the warnings it would log; a resample whose refit fails, or whose
+    number is in ``keep_original``, is scored under ``params``."""
     rng = np.random.default_rng(seed)
     sums = np.zeros(len(levels))
     logged = []
     for i in range(b):
-        for attempt in range(2):
-            xb = fc.resample(x, params, mode, rng)
-            try:
-                theta_b = fc.fit_mixture(xb, params.q, refit_cfg, rng).params
-                break
-            except (ValueError, np.linalg.LinAlgError) as exc:
-                if attempt == 0:
-                    logged.append(f"bootstrap refit failed ({exc}); retrying once")
-                else:
-                    logged.append(
-                        f"bootstrap refit failed twice ({exc}); keeping original fit")
-                    theta_b = params
+        xb = fc.resample(x, params, mode, rng)
+        try:
+            theta_b = fc.fit_mixture(xb, params.q, refit_cfg, rng).params
+        except (ValueError, np.linalg.LinAlgError) as exc:
+            logged.append(f"bootstrap refit failed ({exc}); keeping original fit")
+            theta_b = params
         if i in keep_original:
             theta_b = params
-        post = fc.posterior_matrix(theta_b, xb)
-        ref_probs = fc.posterior_matrix(params, xb).probs
-        sums += _plugin_fcr_per_level(post.t_values, fc.map_labels(post), ref_probs, levels)
+        probs = fc.posterior_matrix(theta_b, xb).probs
+        sums += _plugin_fcr_per_level(probs, fc.posterior_matrix(params, xb).probs, levels)
     return sums / b, logged
+
+
+def sequential_warm_curve(x, params, levels, mode, b, em, iters, seed):
+    """fcr_hat of a warm-start calibration done one resample at a time
+    through public calls, and how many refits drew a reinit."""
+    rng = np.random.default_rng(seed)
+    sums = np.zeros(len(levels))
+    reinits = 0
+    for _ in range(b):
+        xb = fc.resample(x, params, mode, rng)
+        state = rng.bit_generator.state
+        probs = fc.posterior_matrix(fc.em_steps(xb, params, em, iters, rng), xb).probs
+        reinits += rng.bit_generator.state != state
+        sums += _plugin_fcr_per_level(probs, fc.posterior_matrix(params, xb).probs, levels)
+    return sums / b, reinits
+
+
+class TestWarmRefits:
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    @pytest.mark.parametrize("family, structure",
+                             [("gaussian", "diagonal"), ("gaussian", "spherical"),
+                              ("student", "full")])
+    def test_matches_sequential_reference(self, mode, family, structure):
+        # a refit is scored from its last E-step's responsibilities; they must
+        # give what building its parameters and their posterior gives.  One
+        # far row holds a component of about 1/n that a resample can empty,
+        # so refits draw reinits from the shared stream
+        rng = np.random.default_rng(1)
+        _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 59, rng)
+        x = np.vstack([x, [[40.0, -30.0]]])
+        em = fc.EmConfig(family=family, structure=structure, n_starts=2, max_iter=50)
+        params = fc.fit_mixture(x, 3, em, np.random.default_rng(1)).params
+        cfg = fc.BootstrapConfig(mode=mode, b=15, refit=WarmStart(10), seed=1)
+        curve = fc.calibrate_level(x, params, 0.1, cfg, em)
+        expected, reinits = sequential_warm_curve(
+            x, params, curve.levels, mode, 15, em, 10, 1)
+        assert np.array_equal(curve.fcr_hat, expected)
+        assert reinits > 0
+
+    @pytest.mark.parametrize("refit", [WarmStart(3), FullRefit()])
+    def test_refits_build_no_mixture_params(self, monkeypatch, refit):
+        # B resamples: one posterior each, under the original fit, and no
+        # refit builds parameters
+        _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
+        built, posteriors = [], []
+        post_init, posterior = fc.MixtureParams.__post_init__, fc.bootstrap.posterior_matrix
+
+        def counting_init(self):
+            built.append(self)
+            post_init(self)
+
+        def counting_posterior(theta, data):
+            posteriors.append(theta)
+            return posterior(theta, data)
+
+        monkeypatch.setattr(fc.MixtureParams, "__post_init__", counting_init)
+        monkeypatch.setattr(fc.bootstrap, "posterior_matrix", counting_posterior)
+        cfg = fc.BootstrapConfig(b=6, refit=refit, seed=1)
+        fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=2, max_iter=20))
+        assert built == []
+        assert len(posteriors) == 6 and all(theta is params for theta in posteriors)
 
 
 class TestStackedRefits:
@@ -216,13 +270,21 @@ class TestStackedRefits:
         expected, _ = sequential_curve(x, params, curve.levels, mode, 10, refit_cfg, 18)
         assert np.array_equal(curve.fcr_hat, expected)
 
-    def test_retries_match_sequential_reference(self, caplog):
+    def test_start_failures_keep_original_fit(self, monkeypatch, caplog):
         # exactly q distinct rows: a resample that draws one of them only has
-        # too few distinct rows for k-means++, so its refit fails and is retried
+        # too few distinct rows for k-means++, so its refit fails at its start
+        # and the original fit stands in, with no further draw
         x = np.array([[0.0, 0.0]] * 2 + [[3.0, 1.0]] * 2)
         em = fc.EmConfig(structure="known", known_covariances=(np.eye(2), 2.0 * np.eye(2)),
                          n_starts=2, max_iter=20)
         params = fc.fit_mixture(x, 2, em, np.random.default_rng(0)).params
+        resample, draws = fc.bootstrap.resample, []
+
+        def counted_resample(*args):
+            draws.append(resample(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
         cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit(), seed=0)
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
             curve = fc.calibrate_level(x, params, 0.2, cfg, em)
@@ -230,8 +292,12 @@ class TestStackedRefits:
                                             30, em, 0)
         assert np.array_equal(curve.fcr_hat, expected)
         assert caplog.messages == logged
-        assert any("retrying once" in m for m in logged)
-        assert any("failed twice" in m for m in logged)
+        assert len(draws) == 30
+        failed = sum(len(np.unique(xb, axis=0)) < 2 for xb in draws)
+        assert failed > 0
+        assert caplog.messages == [
+            "bootstrap refit failed (need at least q=2 distinct rows); keeping original fit"
+        ] * failed
 
     def test_duplicate_rows_refit_without_late_failures(self, caplog):
         # duplicate rows: refits used to end on identical components, which
@@ -274,11 +340,11 @@ class TestStackedRefits:
         best, resample = fc.bootstrap._best, fc.bootstrap.resample
         fits, draws = [], []
 
-        def failing_best(runs, cfg):
+        def failing_best(runs):
             fits.append(None)
             if len(fits) == 5:
                 raise np.linalg.LinAlgError("boom")
-            return best(runs, cfg)
+            return best(runs)
 
         def counted_resample(*args):
             draws.append(None)
@@ -311,6 +377,8 @@ class TestStackedRefits:
             (FullRefit(), fc.EmConfig(max_iter=0), "max_iter must be >= 1"),
             (FullRefit(fc.EmConfig(structure="known", known_covariances=(np.eye(2),))),
              None, "known_covariances must hold q=2 matrices"),
+            (None, None, "refit must be a WarmStart or a FullRefit"),
+            (WarmStart(2.5), None, "iters must be >= 0 and whole"),
         ]
         for refit, em, message in cases:
             cfg = fc.BootstrapConfig(b=3, refit=refit, seed=1)

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,73 @@ def test_calibrate_checks_settings_before_the_fit(
     assert rc == 1
     assert message in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def edge_input(name):
+    """(data, q, alpha) of one CLI edge case; the data are None for a CSV
+    with a non-finite cell."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(40, 2))
+    return {
+        "d1": (x[:, :1], 2, 0.1),
+        "constant-column": (np.column_stack([x[:, 0], np.full(40, 3.0)]), 2, 0.1),
+        "repeated-rows": (np.tile(x[:10], (8, 1)), 2, 0.1),
+        "two-points": (np.repeat([[0.0, 0.0], [3.0, 1.0]], 40, axis=0), 2, 0.1),
+        "q1": (x, 1, 0.1),
+        "alpha-tiny": (x, 2, 1e-9),
+        "alpha-large": (x, 2, 0.999),
+        "nan-cell": (None, 2, 0.1),
+    }[name]
+
+
+EDGE_CASES = [
+    (command, structure, name)
+    for command in ("fit", "calibrate")
+    for structure in ("full", "diagonal", "spherical")
+    for name in ("d1", "constant-column", "repeated-rows", "two-points", "q1",
+                 "alpha-tiny", "alpha-large", "nan-cell")
+    if command == "calibrate" or not name.startswith("alpha")
+]
+
+
+@pytest.mark.parametrize("command, structure, name", EDGE_CASES)
+def test_edge_inputs_finish_cleanly(tmp_path, capsys, command, structure, name):
+    # degenerate data and extreme levels give finite, in-range outputs or
+    # one error line, and no numpy warning
+    x, q, alpha = edge_input(name)
+    data = tmp_path / "data.csv"
+    if x is None:
+        data.write_text("x1,x2\n0.5,1.0\nnan,2.0\n1.5,0.0\n")
+    else:
+        fc.save_data_csv(x, data)
+    out = tmp_path / "out"
+    argv = [command, "--data", str(data), "--q", str(q), "--structure", structure,
+            "--seed", "3"]
+    if command == "fit":
+        argv += ["--out", str(out.with_suffix(".json"))]
+    else:
+        argv += ["--alpha", repr(alpha), "--b", "5", "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    if name == "nan-cell":
+        assert rc == 1
+        assert errors == ["error: data rows must be finite"]
+        return
+    assert rc == 0 and errors == []
+    params = fc.load_mixture_json(out.with_suffix(".json") if command == "fit"
+                                  else out / "params.json")
+    assert params.q == q and np.all(params.weights > 0.0)
+    for comp in params.components:
+        assert np.all(np.isfinite(comp.mean)) and np.all(np.isfinite(comp.scatter))
+    if command == "fit":
+        assert np.isfinite(float(captured.out.split("loglik=")[1].split()[0]))
+    else:
+        curve = np.loadtxt(out / "curve.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.all((curve[:, 1] >= 0.0) & (curve[:, 1] <= 1.0))
+        labels = np.loadtxt(out / "labels.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert np.all((labels[:, 1] >= 0) & (labels[:, 1] < q))
+        assert np.all((labels[:, 3] >= 0.0) & (labels[:, 3] <= 1.0 - 1.0 / q))

@@ -64,6 +64,22 @@ def test_fit_loglik_equals_mixture_loglik_exactly(structure, family):
         assert fit.loglik == fc.mixture_loglik(fit.params, data)
 
 
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_winning_run_keeps_the_posterior_of_the_fit(structure, family):
+    # a bootstrap refit is scored from its winning run's last E-step; those
+    # responsibilities give the MAP risk and labels of the returned parameters
+    x, cfg = small_input(structure, family)
+    for data in (x, np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]])):
+        fit = fc.fit_mixture(data, 2, cfg)
+        streams = np.random.default_rng(cfg.seed).spawn(cfg.n_starts)
+        runs = fc.em._fit_runs(data, 2, cfg, fc.em._known_factors(cfg, 2), streams)
+        probs = fc.em._best(runs).probs
+        post = fc.posterior_matrix(fit.params, data)
+        assert np.array_equal(fc.mixtures._t_values(probs), post.t_values)
+        assert np.array_equal(np.argmax(probs, axis=1), fc.map_labels(post))
+
+
 def start_rngs(seed, n_starts):
     """Generators whose one spawned stream is stream ``s`` of ``default_rng(seed).spawn``."""
     root = np.random.SeedSequence(seed)

@@ -1,11 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fcrcluster as fc
-from fcrcluster.bootstrap import WarmStart
+from fcrcluster.bootstrap import FullRefit, WarmStart
 from fcrcluster.harness import (
     SweepResult,
     config_hash,
@@ -73,6 +74,15 @@ class TestBuiltinScenarios:
         assert config_hash(again) == config_hash(cfg)
         assert again.sweep_values == cfg.sweep_values
         assert again.em.structure == "diagonal"
+
+    def test_json_keeps_the_refit_em_config(self):
+        cfg = fc.get_scenario("diagonal")
+        refit_em = fc.EmConfig(structure="diagonal", n_starts=1, max_iter=30)
+        own = replace(cfg, boot=replace(cfg.boot, refit=FullRefit(refit_em)))
+        assert config_hash(own) != config_hash(cfg)
+        j = scenario_to_json(own)
+        assert scenario_to_json(scenario_from_json(j)) == j
+        assert scenario_from_json(j).boot.refit.em.max_iter == 30
 
 
 class TestRunScenario:
