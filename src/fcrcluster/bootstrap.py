@@ -85,7 +85,6 @@ class BootstrapConfig:
     b: int = 1000
     grid: np.ndarray | None = None
     refit: WarmStart | FullRefit = field(default_factory=FullRefit)
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.mode not in MODES:
@@ -124,14 +123,9 @@ class BootstrapCurve:
     chosen_index: int | None
 
 
-def level_grid(alpha: float, size: int = 25, max_factor: float = 1.0) -> np.ndarray:
-    """Equally spaced grid over ``(alpha*max_factor/size, alpha*max_factor]``.
-
-    The default stays at or below the target level; ``max_factor > 1``
-    extends the grid above it.
-    """
-    top = alpha * max_factor
-    return top * np.arange(1, size + 1) / size
+def level_grid(alpha: float) -> np.ndarray:
+    """The default calibration grid: the 25 levels ``alpha * k / 25``, k = 1..25."""
+    return alpha * np.arange(1, 26) / 25
 
 
 def resample(
@@ -236,8 +230,7 @@ def _fcr_curve(
     refit_cfg = em_cfg if warm else cfg.refit.em or em_cfg
     refit_cfg.validate()
     known = _known_factors(refit_cfg, theta_hat.q)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(rng)
     logger.info(
         "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b,
         f"warm start, {cfg.refit.iters} EM iterations per resample" if warm
@@ -267,7 +260,10 @@ def bootstrap_fcr(
     em_cfg: EmConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Bootstrap estimate of the FCR the plug-in achieves at ``alpha_prime``."""
+    """Bootstrap estimate of the FCR the plug-in achieves at ``alpha_prime``.
+
+    Resamples and refits draw from ``rng`` (fresh OS entropy when ``None``).
+    """
     cfg.validate()
     levels = np.array([_check_alpha(alpha_prime)])
     curve = _fcr_curve(data, theta_hat, levels, cfg, em_cfg or EmConfig(), rng)
@@ -284,9 +280,10 @@ def calibrate_level(
 ) -> BootstrapCurve:
     """Estimate the FCR along the level grid and pick the working level.
 
-    The same resamples and refits serve every grid level.  The chosen index
-    is the largest level whose estimate is at or below ``alpha`` (``None``
-    when even the smallest level overshoots).
+    The same resamples and refits serve every grid level; they draw from
+    ``rng`` (fresh OS entropy when ``None``).  The chosen index is the largest
+    level whose estimate is at or below ``alpha`` (``None`` when even the
+    smallest level overshoots).
     """
     cfg.validate()
     alpha = _check_alpha(alpha)
@@ -317,13 +314,13 @@ def bootstrap_procedure(
 ) -> SelectiveClustering:
     """Fit, calibrate, then run the plug-in at the calibrated level.
 
-    When no grid level is admissible the items keep their MAP labels but
-    nothing is selected.
+    The fit and the calibration draw in turn from ``rng`` (fresh OS entropy
+    when ``None``).  When no grid level is admissible the items keep their
+    MAP labels but nothing is selected.
     """
     em_cfg = em_cfg or EmConfig()
     boot_cfg = boot_cfg or BootstrapConfig()
-    if rng is None:
-        rng = np.random.default_rng(boot_cfg.seed)
+    rng = np.random.default_rng(rng)
     x = validate_data(data)
     fit = fit_mixture(x, q, em_cfg, rng)
     curve = calibrate_level(x, fit.params, alpha, boot_cfg, em_cfg, rng)

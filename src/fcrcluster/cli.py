@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .bootstrap import (
+    MODES,
     BootstrapConfig,
     FullRefit,
     WarmStart,
@@ -24,7 +25,7 @@ from .bootstrap import (
     clustering_at_calibrated_level,
     write_curve_csv,
 )
-from .em import EmConfig, fit_mixture, save_fit
+from .em import FAMILIES, EmConfig, fit_mixture, save_fit
 from .evaluation import oracle_curve, write_oracle_curve_csv
 from .harness import (
     emit_outputs,
@@ -49,15 +50,14 @@ def _add_fit(sub):
     p = sub.add_parser("fit", help="fit a mixture by multi-start EM")
     p.add_argument("--data", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--family", choices=["gaussian", "student"], default="gaussian")
-    p.add_argument(
-        "--structure", choices=["spherical", "diagonal", "full"], default="full"
-    )
+    p.add_argument("--family", choices=FAMILIES, default=EmConfig.family)
+    p.add_argument("--structure", choices=["spherical", "diagonal", "full"],
+                   default=EmConfig.structure)
     p.add_argument("--out", required=True, help="output parameter JSON path")
     p.add_argument("--trace-out", default=None, help="optional loglik trace CSV")
-    p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--starts", type=int, default=10)
-    p.add_argument("--dof", type=float, default=4.0)
+    p.add_argument("--max-iter", type=int, default=EmConfig.max_iter)
+    p.add_argument("--starts", type=int, default=EmConfig.n_starts)
+    p.add_argument("--dof", type=float, default=EmConfig.dof)
     p.add_argument("--seed", type=int, default=0)
 
 
@@ -75,21 +75,20 @@ def _add_calibrate(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mode", choices=["parametric", "nonparametric"], default="parametric")
-    p.add_argument("--b", type=int, default=1000)
-    p.add_argument("--family", choices=["gaussian", "student"], default="gaussian")
-    p.add_argument(
-        "--structure", choices=["spherical", "diagonal", "full"], default="full"
-    )
+    p.add_argument("--mode", choices=MODES, default=BootstrapConfig.mode)
+    p.add_argument("--b", type=int, default=BootstrapConfig.b)
+    p.add_argument("--family", choices=FAMILIES, default=EmConfig.family)
+    p.add_argument("--structure", choices=["spherical", "diagonal", "full"],
+                   default=EmConfig.structure)
     p.add_argument(
         "--refit", choices=["full", "warm"], default="full",
         help="re-estimation per resample: full EM or warm start",
     )
-    p.add_argument("--warm-iters", type=int, default=20,
+    p.add_argument("--warm-iters", type=int, default=WarmStart.iters,
                    help="EM iterations when --refit warm")
     p.add_argument("--refit-starts", type=int, default=1,
                    help="EM starts per resample when --refit full")
-    p.add_argument("--dof", type=float, default=4.0)
+    p.add_argument("--dof", type=float, default=EmConfig.dof)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output report directory")
 
@@ -133,9 +132,8 @@ def _cmd_fit(args) -> int:
         max_iter=args.max_iter,
         n_starts=args.starts,
         dof=args.dof,
-        seed=args.seed,
     )
-    result = fit_mixture(x, args.q, cfg)
+    result = fit_mixture(x, args.q, cfg, np.random.default_rng(args.seed))
     save_fit(result, args.out, args.trace_out)
     print(f"{args.out}  loglik={result.loglik:.6f}  converged={result.converged}")
     return 0
@@ -155,16 +153,14 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     x = load_data_csv(args.data)
-    em_cfg = EmConfig(
-        family=args.family, structure=args.structure, dof=args.dof, seed=args.seed
-    )
+    em_cfg = EmConfig(family=args.family, structure=args.structure, dof=args.dof)
     if args.refit == "warm":
         refit = WarmStart(iters=args.warm_iters)
         refit_note = f"warm start, {args.warm_iters} EM iterations per resample"
     else:
         refit = FullRefit(replace(em_cfg, n_starts=args.refit_starts))
         refit_note = f"full EM per resample ({args.refit_starts} starts)"
-    boot_cfg = BootstrapConfig(mode=args.mode, b=args.b, refit=refit, seed=args.seed)
+    boot_cfg = BootstrapConfig(mode=args.mode, b=args.b, refit=refit)
     # every setting is checked before the outer fit
     _check_alpha(args.alpha)
     boot_cfg.validate()

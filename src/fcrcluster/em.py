@@ -57,7 +57,6 @@ class EmConfig:
     dof: float = 4.0
     known_weights: np.ndarray | None = None
     known_covariances: tuple[np.ndarray, ...] | None = None
-    seed: int | None = None
 
     def validate(self) -> None:
         if self.family not in FAMILIES:
@@ -157,27 +156,21 @@ def _pooled(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
 
 
 def kmeanspp_init(
-    data,
-    q: int,
-    rng: np.random.Generator,
-    structure: str = "full",
-    known_covariances: tuple[np.ndarray, ...] | None = None,
-    family: str = GAUSSIAN,
-    dof: float = 4.0,
+    data, q: int, rng: np.random.Generator, structure: str = "full"
 ) -> MixtureParams:
-    """k-means++ seeded mixture initialization.
+    """k-means++ seeded Gaussian mixture initialization.
 
     Centers are chosen by D^2 weighting (the single-center case uses the
     sample mean, the one-step fixed point).  Weights start uniform and every
     component starts at the pooled within-assignment covariance, projected
-    onto the active structure.
+    onto ``structure``; the ``known`` structure has no covariance to estimate.
     """
+    if structure == "known":
+        raise ValueError("structure 'known' has no covariances for kmeanspp_init to estimate")
     x = _check_rows(data, q)
     centers, assign = _kmeanspp(x, q, rng)
-    scatters = (known_covariances if structure == "known"
-                else [_project_cov(_pooled(x, centers, assign), structure)] * q)
-    dof = float(dof) if family == "student" else None
-    return _to_params((np.full(q, 1.0 / q), centers, scatters), dof, structure)
+    scatter = _project_cov(_pooled(x, centers, assign), structure)
+    return _to_params((np.full(q, 1.0 / q), centers, [scatter] * q), None, structure)
 
 
 # The EM iterate is a stack of R independent runs: a tuple (weights, means,
@@ -488,16 +481,14 @@ def fit_mixture(
 ) -> FitResult:
     """Multi-start EM fit; the start with the highest log-likelihood wins.
 
-    Start-level RNG streams are split deterministically from the seed, and
-    the starts iterate as one stack in which each computes what it would
-    alone, so the result does not depend on evaluation order.
+    Start-level RNG streams are spawned from ``rng`` (fresh OS entropy when
+    ``None``), and the starts iterate as one stack in which each computes
+    what it would alone, so the result does not depend on evaluation order.
     """
     cfg = config or EmConfig()
     cfg.validate()
     x = _check_rows(data, q)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
-    streams = rng.spawn(cfg.n_starts)
+    streams = np.random.default_rng(rng).spawn(cfg.n_starts)
     best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q), streams))
     return FitResult(
         params=_to_params(best.theta, _dof(cfg), cfg.structure),

@@ -187,15 +187,16 @@ def mfcr_oracle_mc(
     return MonteCarloEstimate(estimate=float(below.mean()), se=se, size=mc_size)
 
 
-def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float, tol: float) -> float:
-    """Largest t with conditional-mean(T | T < t) <= alpha, on a frozen sample."""
+def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float) -> float:
+    """Largest t with conditional-mean(T | T < t) <= alpha, on a frozen
+    sample, to within 1e-3."""
 
     def mfcr_at(t: float) -> float:
         k = int(np.searchsorted(sorted_t, t, side="left"))
         return 0.0 if k == 0 else float(csum[k - 1] / k)
 
     lo, hi = 0.0, 1.0
-    while hi - lo > tol:
+    while hi - lo > 1e-3:
         mid = 0.5 * (lo + hi)
         if mfcr_at(mid) <= alpha:
             lo = mid
@@ -209,7 +210,6 @@ def t_star_mc(
     alpha: float,
     mc_size: int,
     rng: np.random.Generator,
-    tol: float = 1e-3,
 ) -> float:
     """Largest threshold whose conditional mean risk stays at or below alpha.
 
@@ -230,23 +230,20 @@ def t_star_mc(
         raise ValueError(
             f"alpha={alpha} is below the achievable range (alpha_c ~ {alpha_c:.4g})"
         )
-    return _bisect_threshold(values, np.cumsum(values), alpha, tol)
+    return _bisect_threshold(values, np.cumsum(values), alpha)
 
 
 def oracle_curve(
     theta_star: MixtureParams,
     alpha: float,
     mc_size: int = 1_000_000,
-    t_grid=None,
     rng: np.random.Generator | None = None,
 ) -> OracleCurve:
-    """Monte-Carlo selective-risk curve over a grid of thresholds."""
+    """Monte-Carlo selective-risk curve over 50 equally spaced thresholds up
+    to the largest possible risk, ``1 - 1/Q``."""
     if rng is None:
         rng = np.random.default_rng()
-    t_max = 1.0 - 1.0 / theta_star.q
-    if t_grid is None:
-        t_grid = t_max * np.arange(1, 51) / 50
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = (1.0 - 1.0 / theta_star.q) * np.arange(1, 51) / 50
     values = np.sort(_t_sample(theta_star, mc_size, rng))
     csum = np.cumsum(values)
     mfcr = np.zeros(t_grid.size)
@@ -266,7 +263,7 @@ def oracle_curve(
     elif alpha <= values[0]:
         t_star = float("nan")
     else:
-        t_star = _bisect_threshold(values, csum, alpha, 1e-3)
+        t_star = _bisect_threshold(values, csum, alpha)
     return OracleCurve(
         t_grid=t_grid,
         mfcr_values=mfcr,

@@ -340,7 +340,6 @@ def run_real_data(
     boot_cfg: BootstrapConfig | None = None,
     ground_truth_column: str | None = None,
     procedure: str = "boot_param",
-    standardize: bool = False,
     seed: int = 0,
     out_csv=None,
 ) -> tuple[SelectiveClustering, FcrReport | None]:
@@ -348,6 +347,7 @@ def run_real_data(
 
     Defaults follow the heavy-tail workflow: a Student-t mixture with fixed
     dof 4 and an unconstrained scatter, calibrated by parametric bootstrap.
+    The fit and the calibration draw from ``default_rng(seed)``.
     Ground-truth labels never feed the fit; they are read separately and
     only compared against the output.
     """
@@ -361,11 +361,8 @@ def run_real_data(
         truth_labels = np.array([codes[row[0]] for row in raw], dtype=np.int64)
     if x.shape[0] < q:
         raise ValueError(f"{csv_path}: fewer rows ({x.shape[0]}) than clusters ({q})")
-    if standardize:
-        scale = x.std(axis=0, ddof=0)
-        x = (x - x.mean(axis=0)) / np.where(scale > 0, scale, 1.0)
 
-    em_cfg = em_cfg or EmConfig(family="student", dof=4.0, structure="full")
+    em_cfg = em_cfg or EmConfig(family="student")
     boot_cfg = boot_cfg or BootstrapConfig()
     rng = np.random.default_rng(seed)
     fit = fit_mixture(x, q, em_cfg, rng)
@@ -407,12 +404,12 @@ def _em_to_json(em: EmConfig) -> dict:
 
 def _em_from_json(obj: dict) -> EmConfig:
     return EmConfig(
-        family=obj.get("family", "gaussian"),
-        structure=obj.get("structure", "full"),
-        max_iter=int(obj.get("max_iter", 100)),
-        n_starts=int(obj.get("n_starts", 10)),
-        rel_tol=obj.get("rel_tol", 1e-8),
-        dof=float(obj.get("dof", 4.0)),
+        family=obj.get("family", EmConfig.family),
+        structure=obj.get("structure", EmConfig.structure),
+        max_iter=int(obj.get("max_iter", EmConfig.max_iter)),
+        n_starts=int(obj.get("n_starts", EmConfig.n_starts)),
+        rel_tol=obj.get("rel_tol", EmConfig.rel_tol),
+        dof=float(obj.get("dof", EmConfig.dof)),
     )
 
 
@@ -455,9 +452,9 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         spec = TruthSpec(family="fixed", params=mixture_from_json(gen["params"]))
     else:
         spec = TruthSpec(
-            family=gen.get("family", "gaussian_separation"),
-            q=int(gen.get("q", 2)),
-            d=int(gen.get("d", 2)),
+            family=gen.get("family", TruthSpec.family),
+            q=int(gen.get("q", TruthSpec.q)),
+            d=int(gen.get("d", TruthSpec.d)),
             epsilon=gen.get("epsilon"),
         )
     boot_obj = obj.get("boot", {})
@@ -468,8 +465,8 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         full = refit_obj.get("full_refit")
         refit = FullRefit(_em_from_json(full) if isinstance(full, dict) else None)
     boot_cfg = BootstrapConfig(
-        mode=boot_obj.get("mode", "parametric"),
-        b=int(boot_obj.get("b", 1000)),
+        mode=boot_obj.get("mode", BootstrapConfig.mode),
+        b=int(boot_obj.get("b", BootstrapConfig.b)),
         grid=None if boot_obj.get("grid") is None else np.asarray(boot_obj["grid"]),
         refit=refit,
     )
@@ -485,7 +482,7 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         alpha=float(obj["alpha"]),
         em=_em_from_json(obj.get("em", {})),
         boot=boot_cfg,
-        seed=int(obj.get("seed", 0)),
+        seed=int(obj.get("seed", ScenarioConfig.seed)),
     )
 
 

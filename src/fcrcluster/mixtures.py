@@ -44,7 +44,8 @@ def regularize_scatter(scatter) -> np.ndarray:
     Near-singular matrices (as produced by EM on degenerate clusters) are
     repaired silently, with low eigenvalues lifted to twice the floor
     ``1e-8 * trace / d`` so the result is a fixed point of this function;
-    materially asymmetric or non-positive-definite input raises ``ValueError``.
+    materially asymmetric or non-positive-definite input, or a scatter so
+    small that its floor is not a normal float, raises ``ValueError``.
     """
     s = np.asarray(scatter, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -76,6 +77,8 @@ def _regularize(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     evals, evecs = np.linalg.eigh(sym)
     fail[(fail == 0) & (evals[..., 0] < -1e-8 * np.maximum(tr / d, 1.0))] = 3
     floor = 1e-8 * tr / d
+    # a subnormal floor lifts nothing: the Cholesky factor would fail
+    fail[(fail == 0) & (floor < np.finfo(float).tiny)] = 3
     fire = (fail == 0) & (evals[..., 0] < floor)
     if fire.any():
         v = evecs[fire]

@@ -342,7 +342,7 @@ def test_criterion_11_real_data_workflow():
             f"breast-cancer CSV not found (set {WDBC_ENV} or place {WDBC_DEFAULT})"
         )
     boot = fc.BootstrapConfig(b=200, refit=FullRefit(fc.EmConfig(
-        family="student", dof=4.0, n_starts=2)), seed=5)
+        family="student", dof=4.0, n_starts=2)))
     sc, report = fc.run_real_data(
         path,
         ["radius", "texture"],

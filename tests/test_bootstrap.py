@@ -59,8 +59,9 @@ class TestEstimator:
             [1.0], (fc.ComponentParams("gaussian", np.zeros(1), np.eye(1)),)
         )
         x = np.random.default_rng(0).normal(size=(50, 1))
-        cfg = fc.BootstrapConfig(b=5, refit=WarmStart(0), seed=1)
-        val = fc.bootstrap_fcr(x, params, 0.1, cfg, fc.EmConfig(n_starts=1))
+        cfg = fc.BootstrapConfig(b=5, refit=WarmStart(0))
+        val = fc.bootstrap_fcr(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                               np.random.default_rng(1))
         assert val == 0.0
 
     def test_identity_resample_reduces_to_plugin_risk_average(self):
@@ -78,8 +79,9 @@ class TestEstimator:
 
     def test_separated_case_small_estimate(self):
         _, _, x, params = fitted_pair(eps=4.0, n=200, seed=4)
-        cfg = fc.BootstrapConfig(b=80, refit=WarmStart(5), seed=5)
-        val = fc.bootstrap_fcr(x, params, 0.1, cfg, fc.EmConfig(n_starts=1))
+        cfg = fc.BootstrapConfig(b=80, refit=WarmStart(5))
+        val = fc.bootstrap_fcr(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                               np.random.default_rng(5))
         assert val < 0.05
 
 
@@ -101,18 +103,14 @@ class TestChooseLevel:
         assert g[0] == pytest.approx(0.1 / 25)
         assert np.all(np.diff(g) > 0)
 
-    def test_level_grid_extension(self):
-        g = level_grid(0.1, size=10, max_factor=1.5)
-        assert g[-1] == pytest.approx(0.15)
-
 
 class TestCalibration:
     def test_scan_property_and_reproducibility(self):
         _, _, x, params = fitted_pair(eps=2.0, n=120, seed=6)
-        cfg = fc.BootstrapConfig(b=40, refit=WarmStart(3), seed=7)
+        cfg = fc.BootstrapConfig(b=40, refit=WarmStart(3))
         em = fc.EmConfig(n_starts=1)
-        curve1 = fc.calibrate_level(x, params, 0.1, cfg, em)
-        curve2 = fc.calibrate_level(x, params, 0.1, cfg, em)
+        curve1 = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(7))
+        curve2 = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(7))
         np.testing.assert_array_equal(curve1.fcr_hat, curve2.fcr_hat)
         assert curve1.chosen_index == curve2.chosen_index
         if curve1.chosen_index is not None:
@@ -124,14 +122,16 @@ class TestCalibration:
         # with the original fit reused on every resample the per-level values
         # are prefix means of sorted risks, hence exactly non-decreasing
         _, _, x, params = fitted_pair(eps=2.0, n=150, seed=8)
-        cfg = fc.BootstrapConfig(b=30, refit=WarmStart(0), seed=9)
-        curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1))
+        cfg = fc.BootstrapConfig(b=30, refit=WarmStart(0))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                                   np.random.default_rng(9))
         assert np.all(np.diff(curve.fcr_hat) >= -1e-15)
 
     def test_curve_range(self):
         _, _, x, params = fitted_pair(eps=1.0, n=100, seed=10)
-        cfg = fc.BootstrapConfig(b=25, refit=WarmStart(5), seed=11)
-        curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1))
+        cfg = fc.BootstrapConfig(b=25, refit=WarmStart(5))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                                   np.random.default_rng(11))
         assert np.all(curve.fcr_hat >= 0.0)
         assert np.all(curve.fcr_hat <= 0.5 + 1e-12)
 
@@ -149,7 +149,7 @@ class TestCalibration:
             raise AssertionError("resampled before the level was checked")
 
         monkeypatch.setattr(fc.bootstrap, "resample", no_resample)
-        cfg = fc.BootstrapConfig(b=3, refit=WarmStart(1), seed=1)
+        cfg = fc.BootstrapConfig(b=3, refit=WarmStart(1))
         with pytest.raises(ValueError, match="alpha must lie in"):
             estimate(x, params, level, cfg)
 
@@ -223,8 +223,8 @@ class TestWarmRefits:
         x = np.vstack([x, [[40.0, -30.0]]])
         em = fc.EmConfig(family=family, structure=structure, n_starts=2, max_iter=50)
         params = fc.fit_mixture(x, 3, em, np.random.default_rng(1)).params
-        cfg = fc.BootstrapConfig(mode=mode, b=15, refit=WarmStart(10), seed=1)
-        curve = fc.calibrate_level(x, params, 0.1, cfg, em)
+        cfg = fc.BootstrapConfig(mode=mode, b=15, refit=WarmStart(10))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(1))
         expected, reinits = sequential_warm_curve(
             x, params, curve.levels, mode, 15, em, 10, 1)
         assert np.array_equal(curve.fcr_hat, expected)
@@ -248,8 +248,9 @@ class TestWarmRefits:
 
         monkeypatch.setattr(fc.MixtureParams, "__post_init__", counting_init)
         monkeypatch.setattr(fc.bootstrap, "posterior_matrix", counting_posterior)
-        cfg = fc.BootstrapConfig(b=6, refit=refit, seed=1)
-        fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=2, max_iter=20))
+        cfg = fc.BootstrapConfig(b=6, refit=refit)
+        fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=2, max_iter=20),
+                           np.random.default_rng(1))
         assert built == []
         assert len(posteriors) == 6 and all(theta is params for theta in posteriors)
 
@@ -265,8 +266,8 @@ class TestStackedRefits:
         if blocks == "several":  # three resamples per block
             monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 3 * n_starts * 80 * 4)
         refit_cfg = fc.EmConfig(structure="diagonal", n_starts=n_starts, max_iter=30)
-        cfg = fc.BootstrapConfig(mode=mode, b=10, refit=FullRefit(refit_cfg), seed=18)
-        curve = fc.calibrate_level(x, params, 0.1, cfg)
+        cfg = fc.BootstrapConfig(mode=mode, b=10, refit=FullRefit(refit_cfg))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, rng=np.random.default_rng(18))
         expected, _ = sequential_curve(x, params, curve.levels, mode, 10, refit_cfg, 18)
         assert np.array_equal(curve.fcr_hat, expected)
 
@@ -285,9 +286,9 @@ class TestStackedRefits:
             return draws[-1]
 
         monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
-        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit(), seed=0)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit())
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
-            curve = fc.calibrate_level(x, params, 0.2, cfg, em)
+            curve = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(0))
         expected, logged = sequential_curve(x, params, curve.levels, "nonparametric",
                                             30, em, 0)
         assert np.array_equal(curve.fcr_hat, expected)
@@ -307,9 +308,9 @@ class TestStackedRefits:
                        rng.normal(size=(2, 2))])
         em = fc.EmConfig(structure="spherical", n_starts=2, max_iter=30)
         params = fc.fit_mixture(x, 3, em, np.random.default_rng(23)).params
-        cfg = fc.BootstrapConfig(mode="nonparametric", b=20, refit=FullRefit(), seed=23)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=20, refit=FullRefit())
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
-            curve = fc.calibrate_level(x, params, 0.2, cfg, em)
+            curve = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(23))
         expected, logged = sequential_curve(x, params, curve.levels, "nonparametric",
                                             20, em, 23)
         assert np.array_equal(curve.fcr_hat, expected)
@@ -324,10 +325,10 @@ class TestStackedRefits:
                        rng.normal(size=(2, 2))])
         em = fc.EmConfig(structure="spherical", n_starts=2, max_iter=30)
         params = fc.fit_mixture(x, 3, em, np.random.default_rng(3)).params
-        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit(), seed=3)
-        curve = fc.calibrate_level(x, params, 0.2, cfg, em)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit())
+        curve = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(3))
         monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 1)
-        alone = fc.calibrate_level(x, params, 0.2, cfg, em)
+        alone = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(3))
         assert np.array_equal(curve.fcr_hat, alone.fcr_hat)
 
     @pytest.mark.parametrize("blocks", ["one", "several"])
@@ -353,9 +354,9 @@ class TestStackedRefits:
         monkeypatch.setattr(fc.bootstrap, "_best", failing_best)
         monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
         refit_cfg = fc.EmConfig(structure="diagonal", n_starts=2, max_iter=30)
-        cfg = fc.BootstrapConfig(mode="parametric", b=10, refit=FullRefit(refit_cfg), seed=18)
+        cfg = fc.BootstrapConfig(mode="parametric", b=10, refit=FullRefit(refit_cfg))
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
-            curve = fc.calibrate_level(x, params, 0.1, cfg)
+            curve = fc.calibrate_level(x, params, 0.1, cfg, rng=np.random.default_rng(18))
         assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
         assert len(draws) == 10
         expected, _ = sequential_curve(x, params, curve.levels, "parametric", 10,
@@ -381,7 +382,7 @@ class TestStackedRefits:
             (WarmStart(2.5), None, "iters must be >= 0 and whole"),
         ]
         for refit, em, message in cases:
-            cfg = fc.BootstrapConfig(b=3, refit=refit, seed=1)
+            cfg = fc.BootstrapConfig(b=3, refit=refit)
             with pytest.raises(ValueError, match=message):
                 estimate(x, params, 0.1, cfg, em)
 
@@ -389,17 +390,16 @@ class TestStackedRefits:
 class TestBootstrapProcedure:
     def test_single_component_selects_everything(self):
         x = np.random.default_rng(0).normal(size=(60, 1))
-        cfg = fc.BootstrapConfig(b=10, refit=WarmStart(2), seed=1)
-        sc = fc.bootstrap_procedure(x, 1, 0.05, fc.EmConfig(n_starts=1), cfg)
+        cfg = fc.BootstrapConfig(b=10, refit=WarmStart(2))
+        sc = fc.bootstrap_procedure(x, 1, 0.05, fc.EmConfig(n_starts=1), cfg,
+                                    np.random.default_rng(1))
         assert sc.selection.k_star == 60
         assert np.all(sc.labels == 0)
 
     def test_single_point_grid_matches_plugin(self):
         _, _, x, params = fitted_pair(eps=4.0, n=150, seed=12)
-        em = fc.EmConfig(n_starts=1, seed=33)
-        cfg = fc.BootstrapConfig(
-            b=30, grid=np.array([0.1]), refit=WarmStart(5), seed=13
-        )
+        em = fc.EmConfig(n_starts=1)
+        cfg = fc.BootstrapConfig(b=30, grid=np.array([0.1]), refit=WarmStart(5))
         rng = np.random.default_rng(13)
         fit = fc.fit_mixture(x, 2, em, rng)
         curve = fc.calibrate_level(x, fit.params, 0.1, cfg, em, rng)
@@ -440,6 +440,6 @@ class TestBootstrapProcedure:
     def test_full_refit_runs(self):
         _, _, x, _ = fitted_pair(eps=3.0, n=80, seed=15)
         em = fc.EmConfig(n_starts=2, max_iter=30)
-        cfg = fc.BootstrapConfig(b=8, refit=FullRefit(), seed=16)
-        sc = fc.bootstrap_procedure(x, 2, 0.1, em, cfg)
+        cfg = fc.BootstrapConfig(b=8, refit=FullRefit())
+        sc = fc.bootstrap_procedure(x, 2, 0.1, em, cfg, np.random.default_rng(16))
         assert sc.labels.shape == (80,)

@@ -1,11 +1,21 @@
+import inspect
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import fcrcluster as fc
-from fcrcluster.cli import main
+from fcrcluster.bootstrap import (
+    FullRefit,
+    WarmStart,
+    clustering_at_calibrated_level,
+    write_curve_csv,
+)
+from fcrcluster.cli import build_parser, main
+from fcrcluster.em import save_fit
+from fcrcluster.selection import write_clustering_csv
 
 
 @pytest.fixture()
@@ -104,6 +114,57 @@ def test_simulate_config_file(tmp_path):
     assert rc == 0
     rows = (out_dir / "results.csv").read_text().splitlines()
     assert len(rows) == 1 + 2 * 2 * 2  # two procedures x two sweep points x two metrics
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = build_parser()
+    fit = parser.parse_args(["fit", "--data", "d.csv", "--q", "2", "--out", "p.json"])
+    cal = parser.parse_args(["calibrate", "--data", "d.csv", "--q", "2",
+                             "--alpha", "0.1", "--out", "report"])
+    em, boot = fc.EmConfig(), fc.BootstrapConfig()
+    for args in (fit, cal):
+        assert (args.family, args.structure, args.dof) == (em.family, em.structure, em.dof)
+    assert (fit.max_iter, fit.starts) == (em.max_iter, em.n_starts)
+    assert (cal.mode, cal.b, cal.warm_iters) == (boot.mode, boot.b, WarmStart().iters)
+
+
+def test_fit_seed_is_the_api_rng(data_csv, tmp_path):
+    # --seed s fits exactly as fit_mixture with default_rng(s)
+    cli_path, api_path = tmp_path / "cli.json", tmp_path / "api.json"
+    rc = main(["fit", "--data", str(data_csv), "--q", "2", "--seed", "4",
+               "--out", str(cli_path)])
+    assert rc == 0
+    x = fc.load_data_csv(data_csv)
+    save_fit(fc.fit_mixture(x, 2, fc.EmConfig(), np.random.default_rng(4)), api_path)
+    assert cli_path.read_bytes() == api_path.read_bytes()
+
+
+def test_calibrate_seed_is_the_api_rng(data_csv, tmp_path):
+    # --seed s fits and then calibrates from one default_rng(s), with the
+    # CLI's configs: default EM, one-start full refits
+    out = tmp_path / "cli"
+    rc = main(["calibrate", "--data", str(data_csv), "--q", "2", "--alpha", "0.1",
+               "--b", "10", "--seed", "6", "--out", str(out)])
+    assert rc == 0
+    x = fc.load_data_csv(data_csv)
+    em = fc.EmConfig()
+    boot = fc.BootstrapConfig(b=10, refit=FullRefit(replace(em, n_starts=1)))
+    rng = np.random.default_rng(6)
+    fit = fc.fit_mixture(x, 2, em, rng)
+    curve = fc.calibrate_level(x, fit.params, 0.1, boot, em, rng)
+    write_curve_csv(curve, tmp_path / "curve.csv")
+    sc = clustering_at_calibrated_level(fit.params, x, 0.1, curve)
+    write_clustering_csv(sc, tmp_path / "labels.csv")
+    for name in ("curve.csv", "labels.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
+
+def test_parameter_names_read_by_the_benchmark_tracer():
+    # bench/tracing.py binds each traced call's arguments and reads these by name
+    for fn, names in ((fc.calibrate_level, {"cfg"}),
+                      (fc.posterior_matrix, {"params", "data"}),
+                      (fc.em_steps, {"n_iter"})):
+        assert names <= set(inspect.signature(fn).parameters), fn.__name__
 
 
 def test_error_exit_code(tmp_path):

@@ -14,14 +14,15 @@ def blobs(rng, centers, n_per, scale=1.0):
 
 
 def small_input(structure, family):
-    """A seeded two-cluster input and config for one structure and family."""
+    """A seeded two-cluster input and config for one structure and family;
+    the recorded fits draw from ``default_rng(17)``."""
     rng = np.random.default_rng(2024)
     x = np.vstack([rng.standard_t(6, size=(40, 2)) + c for c in ((0.0, 0.0), (3.0, 1.0))])
     kw = kc = None
     if structure == "known":
         kw, kc = np.array([0.4, 0.6]), (np.eye(2), np.array([[1.5, 0.3], [0.3, 0.8]]))
     cfg = EmConfig(family=family, structure=structure, n_starts=2, max_iter=50,
-                   known_weights=kw, known_covariances=kc, seed=17)
+                   known_weights=kw, known_covariances=kc)
     return x, cfg
 
 
@@ -45,7 +46,7 @@ GOLDEN = {
 @pytest.mark.parametrize("family", FAMILIES)
 def test_seeded_fit_matches_recorded_outputs(structure, family):
     x, cfg = small_input(structure, family)
-    fit = fc.fit_mixture(x, 2, cfg)
+    fit = fc.fit_mixture(x, 2, cfg, np.random.default_rng(17))
     loglik, weights, n_reinits, n_trace = GOLDEN[(structure, family)]
     assert fit.loglik == pytest.approx(loglik, rel=1e-10)
     np.testing.assert_allclose(fit.params.weights, weights, rtol=1e-10)
@@ -60,7 +61,7 @@ def test_fit_loglik_equals_mixture_loglik_exactly(structure, family):
     # kernel; the duplicate-row input makes the eigenvalue floor fire
     x, cfg = small_input(structure, family)
     for data in (x, np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]])):
-        fit = fc.fit_mixture(data, 2, cfg)
+        fit = fc.fit_mixture(data, 2, cfg, np.random.default_rng(17))
         assert fit.loglik == fc.mixture_loglik(fit.params, data)
 
 
@@ -71,8 +72,8 @@ def test_winning_run_keeps_the_posterior_of_the_fit(structure, family):
     # responsibilities give the MAP risk and labels of the returned parameters
     x, cfg = small_input(structure, family)
     for data in (x, np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]])):
-        fit = fc.fit_mixture(data, 2, cfg)
-        streams = np.random.default_rng(cfg.seed).spawn(cfg.n_starts)
+        fit = fc.fit_mixture(data, 2, cfg, np.random.default_rng(17))
+        streams = np.random.default_rng(17).spawn(cfg.n_starts)
         runs = fc.em._fit_runs(data, 2, cfg, fc.em._known_factors(cfg, 2), streams)
         probs = fc.em._best(runs).probs
         post = fc.posterior_matrix(fit.params, data)
@@ -189,6 +190,8 @@ class TestKmeansppInit:
         init_sph = kmeanspp_init(x, 2, rng, structure="spherical")
         s = init_sph.components[0].scatter
         assert s[0, 0] == pytest.approx(s[1, 1])
+        with pytest.raises(ValueError, match="structure 'known' has no covariances"):
+            kmeanspp_init(x, 2, rng, structure="known")
 
 
 class TestGaussianEm:
@@ -293,9 +296,9 @@ class TestGaussianEm:
     def test_determinism(self):
         rng = np.random.default_rng(11)
         x = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], 100)
-        cfg = EmConfig(n_starts=4, seed=99)
-        fit1 = fc.em_fit(x, 2, cfg)
-        fit2 = fc.em_fit(x, 2, cfg)
+        cfg = EmConfig(n_starts=4)
+        fit1 = fc.em_fit(x, 2, cfg, np.random.default_rng(99))
+        fit2 = fc.em_fit(x, 2, cfg, np.random.default_rng(99))
         np.testing.assert_array_equal(fit1.loglik_trace, fit2.loglik_trace)
         np.testing.assert_array_equal(fit1.params.weights, fit2.params.weights)
         for a, b in zip(fit1.params.components, fit2.params.components):
@@ -305,10 +308,10 @@ class TestGaussianEm:
     def test_coordinate_permutation_equivariance(self):
         rng = np.random.default_rng(12)
         x = blobs(rng, [(0.0, 1.0, -1.0), (4.0, -2.0, 2.0)], 80)
-        cfg = EmConfig(n_starts=3, seed=5)
-        fit = fc.em_fit(x, 2, cfg)
+        cfg = EmConfig(n_starts=3)
+        fit = fc.em_fit(x, 2, cfg, np.random.default_rng(5))
         perm = [2, 0, 1]
-        fit_p = fc.em_fit(x[:, perm], 2, cfg)
+        fit_p = fc.em_fit(x[:, perm], 2, cfg, np.random.default_rng(5))
         np.testing.assert_allclose(fit_p.loglik_trace[-1], fit.loglik_trace[-1], rtol=1e-9)
         for a, b in zip(fit.params.components, fit_p.params.components):
             np.testing.assert_allclose(b.mean, a.mean[perm], rtol=1e-8, atol=1e-10)
@@ -352,6 +355,17 @@ class TestDegenerateEm:
         assert np.diff(trace).min() < -1000.0
         assert fit.converged
         assert abs(trace[-1] - trace[-2]) <= cfg.rel_tol * abs(trace[-2])
+
+    def test_subnormal_scatter_reseeded(self):
+        # one start collapses a component onto the far row; its scatter is
+        # subnormal, so the eigenvalue floor underflows to 0 and its Cholesky
+        # factorization used to fail the whole fit
+        _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 59,
+                                 np.random.default_rng(2))
+        x = np.vstack([x, [[40.0, -30.0]]])
+        cfg = EmConfig(family="student", structure="full", n_starts=2, max_iter=50)
+        fit = fc.fit_mixture(x, 3, cfg, np.random.default_rng(2))
+        assert np.isfinite(fit.loglik) and fit.n_reinits > 0
 
     def test_warm_start_with_fewer_distinct_rows_than_q(self):
         # two distinct rows cannot hold three distinct components

@@ -75,6 +75,15 @@ class TestBuiltinScenarios:
         assert again.sweep_values == cfg.sweep_values
         assert again.em.structure == "diagonal"
 
+    def test_json_defaults_are_the_config_defaults(self):
+        minimal = {"name": "m", "generator": {}, "n": 50, "reps": 1,
+                   "sweep": {"kind": "epsilon", "values": [1.0]}, "alpha": 0.1}
+        assert scenario_from_json(minimal) == fc.ScenarioConfig(
+            name="m", generator=fc.TruthSpec(), n=50, reps=1,
+            procedures=fc.harness.PROCEDURES, sweep_kind="epsilon",
+            sweep_values=(1.0,), alpha=0.1,
+        )
+
     def test_json_keeps_the_refit_em_config(self):
         cfg = fc.get_scenario("diagonal")
         refit_em = fc.EmConfig(structure="diagonal", n_starts=1, max_iter=30)
@@ -243,7 +252,7 @@ class TestRealData:
     def test_workflow_with_ground_truth(self, labelled_csv, tmp_path):
         path, _ = labelled_csv
         out_csv = tmp_path / "labels.csv"
-        boot = fc.BootstrapConfig(b=20, refit=WarmStart(5), seed=3)
+        boot = fc.BootstrapConfig(b=20, refit=WarmStart(5))
         sc, report = fc.run_real_data(
             path,
             ["radius", "texture"],
@@ -260,7 +269,7 @@ class TestRealData:
 
     def test_ground_truth_optional(self, labelled_csv):
         path, _ = labelled_csv
-        boot = fc.BootstrapConfig(b=10, refit=WarmStart(0), seed=4)
+        boot = fc.BootstrapConfig(b=10, refit=WarmStart(0))
         sc, report = fc.run_real_data(
             path, ["radius", "texture"], q=2, alpha=0.1, boot_cfg=boot
         )
@@ -269,7 +278,7 @@ class TestRealData:
 
     def test_single_cluster_selects_all(self, labelled_csv):
         path, _ = labelled_csv
-        boot = fc.BootstrapConfig(b=10, refit=WarmStart(0), seed=5)
+        boot = fc.BootstrapConfig(b=10, refit=WarmStart(0))
         sc, _ = fc.run_real_data(path, ["radius"], q=1, alpha=0.1, boot_cfg=boot)
         assert sc.selection.k_star == 300
 
@@ -300,7 +309,7 @@ class TestRealData:
 
     def test_student_family_used_by_default(self, labelled_csv):
         path, _ = labelled_csv
-        boot = fc.BootstrapConfig(b=5, refit=WarmStart(0), seed=6)
+        boot = fc.BootstrapConfig(b=5, refit=WarmStart(0))
         sc, _ = fc.run_real_data(
             path, ["radius", "texture"], q=2, alpha=0.1,
             boot_cfg=boot, procedure="plugin",

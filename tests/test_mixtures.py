@@ -77,6 +77,9 @@ class TestLogDensity:
     def test_non_positive_definite_scatter_rejected(self):
         with pytest.raises(ValueError, match="positive definite"):
             fc.ComponentParams("gaussian", np.zeros(1), np.array([[-1.0]]))
+        # a subnormal scatter: its eigenvalue floor underflows and lifts nothing
+        with pytest.raises(ValueError, match="positive definite"):
+            fc.ComponentParams("gaussian", np.zeros(2), 1e-317 * np.eye(2))
         with pytest.raises(ValueError, match="symmetric"):
             fc.ComponentParams("gaussian", np.zeros(2), np.array([[1.0, 0.5], [0.0, 1.0]]))
 
