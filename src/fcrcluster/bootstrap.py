@@ -34,6 +34,7 @@ from .em import (
 )
 from .mixtures import (
     MixtureParams,
+    _map_rows,
     _t_values,
     map_labels,
     posterior_matrix,
@@ -165,7 +166,7 @@ def _plugin_fcr_per_level(
     # cum[k-1, c, r] = sum over the k lowest-risk items with predicted class
     # c of the reference posterior for class r
     one_hot = np.zeros((n, qn))
-    one_hot[np.arange(n), np.argmax(probs, axis=1)[order]] = 1.0
+    one_hot[np.arange(n), _map_rows(probs)[order]] = 1.0
     contrib = one_hot[:, :, None] * ref_probs[order][:, None, :]
     cum = np.cumsum(contrib, axis=0)
     values = np.zeros(len(levels))

@@ -31,6 +31,7 @@ from .mixtures import (
     _log_weighted,
     _normalize,
     _regularize,
+    _regularize_diagonal,
     mixture_to_json,
     regularize_scatter,
     validate_data,
@@ -127,23 +128,34 @@ def _check_rows(data, q: int) -> np.ndarray:
     return x
 
 
+_FAR_ROWS = "rows lie too far apart: their squared distances overflow (rescale the data)"
+
+
 def _kmeanspp(x: np.ndarray, q: int, rng: np.random.Generator):
-    """k-means++ centres (D^2 weighting; the sample mean if q=1), each row's nearest."""
+    """k-means++ centres (D^2 weighting; the sample mean if q=1), each row's nearest.
+
+    Rows so far apart that their squared distances overflow raise ``ValueError``.
+    """
     n = x.shape[0]
-    if q == 1:
-        centers = x.mean(axis=0, keepdims=True)
-    else:
-        chosen = [int(rng.integers(n))]
-        d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
-        for _ in range(q - 1):
-            total = float(d2.sum())
-            if total <= 0.0:  # every row equals a chosen centre
-                raise ValueError(f"need at least q={q} distinct rows")
-            pick = int(rng.choice(n, p=d2 / total))
-            chosen.append(pick)
-            d2 = np.minimum(d2, ((x - x[pick]) ** 2).sum(axis=1))
-        centers = x[np.array(chosen)]
-    dist2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    with np.errstate(over="ignore"):
+        if q == 1:
+            centers = x.mean(axis=0, keepdims=True)
+        else:
+            chosen = [int(rng.integers(n))]
+            d2 = ((x - x[chosen[0]]) ** 2).sum(axis=1)
+            for _ in range(q - 1):
+                total = float(d2.sum())
+                if total <= 0.0:  # every row equals a chosen centre
+                    raise ValueError(f"need at least q={q} distinct rows")
+                if not np.isfinite(total):
+                    raise ValueError(_FAR_ROWS)
+                pick = int(rng.choice(n, p=d2 / total))
+                chosen.append(pick)
+                d2 = np.minimum(d2, ((x - x[pick]) ** 2).sum(axis=1))
+            centers = x[np.array(chosen)]
+        dist2 = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    if not np.isfinite(dist2).all():
+        raise ValueError(_FAR_ROWS)
     return centers, np.argmin(dist2, axis=1)
 
 
@@ -176,12 +188,16 @@ def kmeanspp_init(
 # The EM iterate is a stack of R independent runs: a tuple (weights, means,
 # scatters, chols, log_dets) with shapes (R, Q), (R, Q, d), (R, Q, d, d),
 # (R, Q, d, d), (R, Q), plus one dof shared by the runs (None for Gaussian).
-# The data are shared, (n, d), or per run, (R, n, d).  Each step makes one
-# pass of numpy calls for the whole stack; the triangular solves go slice by
-# slice, and stacked products and factorizations make one LAPACK or BLAS call
-# per slice, so every run computes the bits it would compute alone.  Scatters
-# are regularized once when they are made; mixture parameters are built, and
-# so validated, only when a fit returns.
+# The data are shared, (n, d), or per run, (R, n, d); the per-item arrays
+# (responsibilities, Mahalanobis distances) are component-major, (R, Q, n),
+# so elementwise work and reductions over components run over whole rows.
+# Each step makes one pass of numpy calls for the whole stack: elementwise
+# operations, reductions over rows or coordinates in a fixed order, and
+# stacked products and factorizations that make one BLAS or LAPACK call per
+# slice; so every run computes the bits it would compute alone.  Diagonal
+# and spherical scatters are estimated, floored and factored from their
+# diagonals alone.  Scatters are regularized once when they are made;
+# mixture parameters are built, and so validated, only when a fit returns.
 
 
 @dataclass(eq=False)
@@ -205,18 +221,6 @@ def _rows(x: np.ndarray, r: int) -> np.ndarray:
     return x if x.ndim == 2 else x[r]
 
 
-def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=1)`` of an (R, n, Q) stack, bit for bit.
-
-    For Q >= 2 numpy adds the rows in order, one short inner loop per row;
-    the same order over a transposed copy runs ~10x faster.  For Q = 1 it
-    sums each run pairwise, which the plain reduction does fast.
-    """
-    if a.shape[2] == 1:
-        return a.sum(axis=1)
-    return np.ascontiguousarray(a.transpose(1, 0, 2)).sum(axis=0)
-
-
 def _theta(params: MixtureParams):
     comps = params.components
     scatters = np.stack([c.scatter for c in comps])[None]
@@ -238,12 +242,12 @@ def _e_step(theta, dof: float | None, x: np.ndarray):
     """Responsibilities, squared Mahalanobis (Student-t only), log-likelihoods."""
     weights, means, _, chols, log_dets = theta
     runs, qn = weights.shape
-    mahal = None if dof is None else np.empty((runs, x.shape[-2], qn))
+    mahal = None if dof is None else np.empty((runs, qn, x.shape[-2]))
     lw = _log_weighted(
         x, np.log(weights), means, chols, log_dets, (dof,) * qn, mahal
     )
     probs, loglik = _normalize(lw)
-    return np.maximum(probs, 1e-300), mahal, loglik
+    return np.maximum(probs, 1e-300, out=probs), mahal, loglik
 
 
 def _m_step(
@@ -266,29 +270,46 @@ def _m_step(
     ``known`` holds the factored known covariances, or ``None`` when
     covariances are estimated.
     """
-    n_runs, n, qn = resp.shape
+    n_runs, qn, n = resp.shape
     d = x.shape[-1]
-    mass = _sum_rows(resp)
+    diagonal = known is None and cfg.structure != "full"
+    mass = resp.sum(axis=2)
     if dof is None:
         w, w_sum = resp, mass
     else:
-        w = resp * ((dof + d) / (dof + mahal))
-        w_sum = _sum_rows(w)
-    means = np.matmul(w.transpose(0, 2, 1), x) / w_sum[..., None]
+        w = np.add(mahal, dof)
+        np.divide(dof + d, w, out=w)
+        w *= resp
+        w_sum = w.sum(axis=2)
+    means = np.matmul(w, x) / w_sum[..., None]
     ok = mass >= 1.0 / n
-    if known is None:
-        # one (d, n) @ (n, d) product per run and component, as one matmul
-        diff = (x if x.ndim == 2 else x[:, None]) - means[:, :, None, :]
-        wdiff = w.transpose(0, 2, 1)[..., None] * diff
-        covs = np.matmul(wdiff.swapaxes(-1, -2), diff)
-        covs /= np.where(ok, mass, 1.0)[..., None, None]
-        del diff, wdiff
-        scatters, fail = _regularize(_project_cov(covs, cfg.structure))
-        ok &= fail == 0
-    else:
+    if known is not None:
         scatters, chols, log_dets = (
             np.broadcast_to(a, (n_runs, *a.shape)) for a in known
         )
+    elif diagonal:
+        # per-coordinate second moments: the diagonal the projection keeps;
+        # the scatters are carried as their diagonals until they are factored
+        var = np.empty((n_runs, qn, d))
+        dj, wdj = np.empty_like(w), np.empty_like(w)
+        xt = x.T if x.ndim == 2 else x.transpose(0, 2, 1)
+        for j in range(d):
+            np.subtract(xt[..., j, None, :], means[..., j, None], out=dj)
+            np.multiply(w, dj, out=wdj)
+            var[..., j] = np.einsum("...i,...i->...", wdj, dj)
+        var /= np.where(ok, mass, 1.0)[..., None]
+        if cfg.structure == "spherical":
+            var[:] = var.sum(axis=-1, keepdims=True) / d
+        scatters, fail = _regularize_diagonal(var)
+        ok &= fail == 0
+    else:
+        # one (d, n) @ (n, d) product per run and component, as one matmul
+        diff = (x if x.ndim == 2 else x[:, None]) - means[:, :, None, :]
+        covs = np.matmul((w[..., None] * diff).swapaxes(-1, -2), diff)
+        covs /= np.where(ok, mass, 1.0)[..., None, None]
+        del diff
+        scatters, fail = _regularize(covs)
+        ok &= fail == 0
 
     redo = ~ok
     while redo is not None:
@@ -298,13 +319,16 @@ def _m_step(
                 for q in np.flatnonzero(redo[r]):
                     means[r, q] = xr[int(runs[r].rng.integers(n))]
                     if known is None:
-                        scatters[r, q] = regularize_scatter(
+                        scatter = regularize_scatter(
                             _project_cov(_safe_cov(xr), cfg.structure)
                         )
+                        scatters[r, q] = np.diagonal(scatter) if diagonal else scatter
                 runs[r].n_reinits += int(redo[r].sum())
             ok &= ~redo
         redo = _duplicates(x, means, scatters, runs)
-    if known is None:
+    if diagonal:
+        scatters, chols, log_dets = _diagonal_factors(scatters)
+    elif known is None:
         chols, log_dets = _factor_runs(scatters, runs)
 
     if cfg.known_weights is not None:
@@ -320,7 +344,8 @@ def _m_step(
 
 def _duplicates(x, means: np.ndarray, scatters: np.ndarray, runs: list[_Run]):
     """Per run and component of a stack, whether it equals an earlier one
-    of its run in mean and scatter; ``None`` when none does.
+    of its run in mean and scatter (full, or as its diagonal); ``None``
+    when none does.
 
     A run with fewer than Q distinct rows cannot be rid of its duplicates:
     it gets that as its error instead.
@@ -331,13 +356,23 @@ def _duplicates(x, means: np.ndarray, scatters: np.ndarray, runs: list[_Run]):
         return None
     same = eq.all(axis=-1) & np.tri(qn, k=-1, dtype=bool)
     r, j, i = np.nonzero(same)
-    same[r, j, i] = (scatters[r, j] == scatters[r, i]).all(axis=(-2, -1))
+    cov_axes = tuple(range(1, scatters.ndim - 1))
+    same[r, j, i] = (scatters[r, j] == scatters[r, i]).all(axis=cov_axes)
     dup = same.any(axis=2)
     for r in np.flatnonzero(dup.any(axis=1)):
         if runs[r].error is None and len(np.unique(_rows(x, r), axis=0)) < qn:
             runs[r].error = ValueError(f"need at least q={qn} distinct rows")
         dup[r] &= runs[r].error is None
     return dup if dup.any() else None
+
+
+def _diagonal_factors(var: np.ndarray):
+    """Scatters, lower Cholesky factors and log-determinants of a stack of
+    floored diagonals (..., d): ``sqrt`` is what the Cholesky factorization
+    of a diagonal matrix computes, bit for bit."""
+    sd = np.sqrt(var)
+    eye = np.eye(var.shape[-1])
+    return var[..., None] * eye, sd[..., None] * eye, 2.0 * np.log(sd).sum(axis=-1)
 
 
 def _factor_runs(scatters: np.ndarray, runs: list[_Run]):
@@ -379,8 +414,9 @@ def _iterate(x, theta, dof, cfg: EmConfig, known, runs: list[_Run]):
     Each E-step's log-likelihood goes into the run's trace.  A run leaves the
     stack after an E-step, once it meets ``cfg.rel_tol`` or after
     ``cfg.max_iter`` M-steps, with a copy of that E-step's responsibilities
-    (a view would keep the whole stack alive).  A run whose step fails
-    leaves the stack with its error.
+    (a view would keep the whole stack alive), handed out as the (n, Q) view
+    of its component-major rows.  A run whose step fails leaves the stack
+    with its error.
     """
     live = list(runs)
 
@@ -412,7 +448,7 @@ def _iterate(x, theta, dof, cfg: EmConfig, known, runs: list[_Run]):
         if done.any():
             for i in np.flatnonzero(done):
                 live[i].theta = tuple(a[i] for a in theta)
-                live[i].probs = resp[i].copy()
+                live[i].probs = resp[i].copy().T
             *theta, resp, mahal = leave(done, *theta, resp, mahal)
             if not live:
                 break
@@ -453,11 +489,12 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
             chols, log_dets = (np.repeat(a[:, None], q, axis=1) for a in _factorize(pooled))
         else:
             chols, log_dets = (np.broadcast_to(a, (len(begun), *a.shape)) for a in known[1:])
-        mahal = np.empty((len(begun), x.shape[-2], q))
+        mahal = np.empty((len(begun), q, x.shape[-2]))
         _log_weighted(
             x, np.zeros((len(begun), q)), centers, chols, log_dets, (dof,) * q, mahal
         )
-    theta = _m_step(x, np.eye(q)[assign], mahal, cfg, dof, known, begun)
+    one_hot = (assign[:, None, :] == np.arange(q)[:, None]).astype(float)
+    theta = _m_step(x, one_hot, mahal, cfg, dof, known, begun)
     _iterate(x, theta, dof, cfg, known, begun)
     return runs
 

@@ -89,6 +89,32 @@ def _regularize(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sym, fail
 
 
+def _regularize_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_regularize`` for a stack of diagonal scatters, given as their
+    diagonals (..., d): the same checks, fail codes and floor, elementwise.
+
+    The eigenvalues of a diagonal matrix are its diagonal, so the floor is a
+    clamp and needs no ``eigh``.  A failed diagonal comes back as ones.  The
+    result is ``_regularize``'s bit for bit, except where LAPACK rescales a
+    matrix with a norm beyond about 1e146 and its eigenvalues come back an
+    ulp off: the clamp keeps the diagonal exact.
+    """
+    d = v.shape[-1]
+    fail = np.where(np.isfinite(v).all(axis=-1), 0, 1)
+    v = np.where(fail[..., None] == 0, v, 1.0)
+    tr = v.sum(axis=-1)
+    fail[(fail == 0) & (tr <= 0.0)] = 3
+    low = v.min(axis=-1)
+    fail[(fail == 0) & (low < -1e-8 * np.maximum(tr / d, 1.0))] = 3
+    floor = 1e-8 * tr / d
+    fail[(fail == 0) & (floor < np.finfo(float).tiny)] = 3
+    fire = (fail == 0) & (low < floor)
+    if fire.any():
+        v[fire] = np.maximum(v[fire], 2.0 * floor[fire][:, None])
+    v[fail != 0] = 1.0
+    return v, fail
+
+
 @dataclass(frozen=True, eq=False)
 class ComponentParams:
     """One mixture component: a Gaussian or a fixed-dof Student-t.
@@ -231,36 +257,69 @@ def _mahalanobis(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", z, z)
 
 
+def _diagonal_mahalanobis(x, means, chols, out) -> None:
+    """``_mahalanobis`` for a stack of diagonal factors, into ``out`` (R, Q, n).
+
+    The sum over coordinates of ``((x_j - mu_j) * (1 / L_jj))**2``, added in
+    coordinate order, elementwise over whole component rows, in one reused
+    buffer.  The triangular solve of more than one row multiplies by the same
+    reciprocal, so for d <= 2 the bits are its bits; from d = 3 on its sum of
+    squares runs in another order.
+    """
+    inv = 1.0 / np.diagonal(chols, axis1=-2, axis2=-1)
+    xt = x.T[:, None, None] if x.ndim == 2 else x.transpose(2, 0, 1)[:, :, None]
+    u = np.empty_like(out)
+    for j in range(x.shape[-1]):
+        np.subtract(xt[j], means[..., j, None], out=u)
+        u *= inv[..., j, None]
+        if j == 0:
+            np.multiply(u, u, out=out)
+        else:
+            u *= u
+            out += u
+
+
 def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndarray:
-    """The (R, n, Q) stack of ``log(pi_q) + log f_q(x_i)`` for R parameter sets.
+    """The (R, Q, n) stack of ``log(pi_q) + log f_q(x_i)`` for R parameter sets.
 
     The one place a mixture log-density is computed, from plain arrays with a
     leading run axis: log-weights (R, Q), means (R, Q, d), lower Cholesky
     factors (R, Q, d, d) and log-determinants (R, Q).  ``x`` is shared (n, d)
     or per run (R, n, d); ``dofs[q]`` is ``None`` for a Gaussian component.
     The squared Mahalanobis distances are stored in ``mahal`` when an
-    (R, n, Q) array is given.  As ``solve_triangular`` does, a non-finite
-    factor or difference ``x_i - mu_q`` raises ``ValueError``.
+    (R, Q, n) array is given: elementwise when every factor is diagonal,
+    else by one triangular solve per (run, component).  A distance that
+    overflows to inf is harmless, but as ``solve_triangular`` does, a
+    non-finite factor or difference ``x_i - mu_q`` raises ``ValueError``.
     """
     runs, qn = log_w.shape
     n, d = x.shape[-2:]
     if not np.isfinite(chols).all():
         raise ValueError(_NONFINITE)
-    m = np.empty((runs, n, qn)) if mahal is None else mahal
-    for r in range(runs):
-        xr = x if x.ndim == 2 else x[r]
-        for q in range(qn):
-            m[r, :, q] = _mahalanobis(chols[r, q], xr - means[r, q])
-    if not np.isfinite(m).all():  # from a non-finite difference, or a harmless overflow
-        for r, q in zip(*np.nonzero(~np.isfinite(m).all(axis=1))):
-            if not np.isfinite((x if x.ndim == 2 else x[r]) - means[r, q]).all():
-                raise ValueError(_NONFINITE)
-    lw = np.empty((runs, n, qn))
+    m = np.empty((runs, qn, n)) if mahal is None else mahal
+    with np.errstate(over="ignore"):
+        # a Cholesky diagonal is positive, so only diagonal factors have d nonzeros
+        if np.count_nonzero(chols) == runs * qn * d:
+            _diagonal_mahalanobis(x, means, chols, m)
+        else:
+            for r in range(runs):
+                xr = x if x.ndim == 2 else x[r]
+                for q in range(qn):
+                    m[r, q] = _mahalanobis(chols[r, q], xr - means[r, q])
+        if not np.isfinite(m).all():  # from a non-finite difference, or a harmless overflow
+            for r, q in zip(*np.nonzero(~np.isfinite(m).all(axis=2))):
+                if not np.isfinite((x if x.ndim == 2 else x[r]) - means[r, q]).all():
+                    raise ValueError(_NONFINITE)
+    # in place, in the distances' buffer when they are not kept:
+    # log_w - 0.5 * ((d log 2pi + log_det) + m) for a Gaussian, and
+    # (log_w + const) - 0.5 (nu + d) log1p(m / nu) for a Student-t
+    lw = m if mahal is None else np.empty((runs, qn, n))
     for q, nu in zip(range(qn), dofs, strict=True):
+        out = lw[:, q]
         if nu is None:
-            lw[..., q] = log_w[:, q, None] - 0.5 * (
-                (d * _LOG_2PI + log_dets[:, q, None]) + m[..., q]
-            )
+            np.add(m[:, q], (d * _LOG_2PI + log_dets[:, q])[:, None], out=out)
+            out *= 0.5
+            np.subtract(log_w[:, q, None], out, out=out)
         else:
             const = (
                 math.lgamma(0.5 * (nu + d))
@@ -268,34 +327,35 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
                 - 0.5 * d * math.log(nu * math.pi)
                 - 0.5 * log_dets[:, q]
             )
-            lw[..., q] = (log_w[:, q] + const)[:, None] - 0.5 * (nu + d) * np.log1p(
-                m[..., q] / nu
-            )
+            np.divide(m[:, q], nu, out=out)
+            np.log1p(out, out=out)
+            out *= 0.5 * (nu + d)
+            np.subtract((log_w[:, q] + const)[:, None], out, out=out)
     return lw
 
 
 def _normalize(lw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``exp(lw)`` normalized by log-sum-exp over the last axis, and
-    per run the summed log normalizers.
+    """Per run and row of an (R, Q, n) stack, ``exp(lw)`` normalized over the
+    components by log-sum-exp, and per run the summed log normalizers.
 
-    The max and the sum over the Q components go slice by slice: numpy
-    reduces a short last axis one row at a time, 20-50x slower, and adds
-    fewer than 8 terms in this same order (from 8 on it sums pairwise, so
-    that case keeps the reduction).
+    numpy reduces the middle axis one component row at a time, in order.
+    ``lw`` is overwritten by the result.  A row whose log-density is -inf
+    under every component has no posterior: it raises ``ValueError`` naming
+    the row.
     """
-    qn = lw.shape[-1]
-    m = lw[..., 0]
-    for q in range(1, qn):
-        m = np.maximum(m, lw[..., q])
-    p = lw - m[..., None]
+    m = lw.max(axis=1)
+    far = m == -np.inf
+    if far.any():
+        row = int(np.nonzero(far)[1][0])
+        raise ValueError(
+            f"row {row} is too far from every mixture component:"
+            " its density underflows to 0 under each"
+        )
+    p = lw
+    p -= m[:, None]
     np.exp(p, out=p)
-    if qn < 8:
-        s = p[..., 0].copy()
-        for q in range(1, qn):
-            s += p[..., q]
-    else:
-        s = p.sum(axis=-1)
-    p /= s[..., None]
+    s = p.sum(axis=1)
+    p /= s[:, None]
     return p, (m + np.log(s)).sum(axis=-1)
 
 
@@ -305,7 +365,7 @@ def log_density_rows(component: ComponentParams, x: np.ndarray) -> np.ndarray:
     lw = _log_weighted(
         x, np.zeros((1, 1)), component.mean[None, None], chol, log_det, (component.dof,)
     )
-    return lw[0, :, 0]
+    return lw[0, 0]
 
 
 def log_density(component: ComponentParams, x) -> float:
@@ -356,11 +416,16 @@ def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix,
         chols, log_dets, [c.dof for c in comps],
     )
     probs, loglik = _normalize(lw)
-    return PosteriorMatrix(probs=probs[0], t_values=_t_values(probs[0])), float(loglik[0])
+    probs = probs[0].T  # (n, Q), a view of the component-major array
+    return PosteriorMatrix(probs=probs, t_values=_t_values(probs)), float(loglik[0])
 
 
 def _t_values(probs: np.ndarray) -> np.ndarray:
-    """Per row of an (n, Q) probability matrix, ``1 - max_q``, in ``[0, 1 - 1/Q]``."""
+    """Per row of an (n, Q) probability matrix, ``1 - max_q``, in ``[0, 1 - 1/Q]``.
+
+    On the transposed view of a component-major (Q, n) array, which EM and
+    ``posterior_matrix`` hand out, the max runs over contiguous rows.
+    """
     return np.clip(1.0 - probs.max(axis=1), 0.0, 1.0 - 1.0 / probs.shape[1])
 
 
@@ -378,7 +443,20 @@ def mixture_loglik(params: MixtureParams, data) -> float:
 
 def map_labels(post: PosteriorMatrix) -> np.ndarray:
     """MAP cluster label per item; ties break toward the lowest index."""
-    return np.argmax(post.probs, axis=1).astype(np.int64)
+    return _map_rows(post.probs)
+
+
+def _map_rows(probs: np.ndarray) -> np.ndarray:
+    """``np.argmax(probs, axis=1)`` of an (n, Q) probability matrix, the lowest
+    index on ties, by compares of whole columns: numpy's ``argmax`` over a
+    short last axis goes one row at a time."""
+    labels = np.zeros(probs.shape[0], dtype=np.int64)
+    top = probs[:, 0]
+    for q in range(1, probs.shape[1]):
+        col = probs[:, q]
+        np.copyto(labels, q, where=col > top)
+        top = np.maximum(top, col)
+    return labels
 
 
 def relabel(params: MixtureParams, perm) -> MixtureParams:

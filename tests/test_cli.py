@@ -245,6 +245,7 @@ def edge_input(name):
         "alpha-tiny": (x, 2, 1e-9),
         "alpha-large": (x, 2, 0.999),
         "nan-cell": (None, 2, 0.1),
+        "far-row": (np.vstack([x, [[1e160, 0.0]]]), 2, 0.1),
     }[name]
 
 
@@ -253,7 +254,7 @@ EDGE_CASES = [
     for command in ("fit", "calibrate")
     for structure in ("full", "diagonal", "spherical")
     for name in ("d1", "constant-column", "repeated-rows", "two-points", "q1",
-                 "alpha-tiny", "alpha-large", "nan-cell")
+                 "alpha-tiny", "alpha-large", "nan-cell", "far-row")
     if command == "calibrate" or not name.startswith("alpha")
 ]
 
@@ -281,9 +282,10 @@ def test_edge_inputs_finish_cleanly(tmp_path, capsys, command, structure, name):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    if name == "nan-cell":
+    if name in ("nan-cell", "far-row"):
         assert rc == 1
-        assert errors == ["error: data rows must be finite"]
+        assert errors == ["error: " + ("data rows must be finite" if name == "nan-cell"
+                                       else fc.em._FAR_ROWS)]
         return
     assert rc == 0 and errors == []
     params = fc.load_mixture_json(out.with_suffix(".json") if command == "fit"
@@ -299,3 +301,23 @@ def test_edge_inputs_finish_cleanly(tmp_path, capsys, command, structure, name):
         labels = np.loadtxt(out / "labels.csv", delimiter=",", skiprows=1, ndmin=2)
         assert np.all((labels[:, 1] >= 0) & (labels[:, 1] < q))
         assert np.all((labels[:, 3] >= 0.0) & (labels[:, 3] <= 1.0 - 1.0 / q))
+
+
+def test_cluster_rejects_a_row_far_from_every_component(tmp_path, capsys):
+    # a sound diagonal fit; the far row's density underflows under both
+    # components, which used to give it a NaN risk and exit 0
+    x = np.random.default_rng(8).normal(size=(120, 2))
+    data, params = tmp_path / "data.csv", tmp_path / "params.json"
+    fc.save_data_csv(x, data)
+    assert main(["fit", "--data", str(data), "--q", "2", "--structure", "diagonal",
+                 "--out", str(params), "--seed", "1"]) == 0
+    fc.save_data_csv(np.vstack([x, [[1e160, 0.0]]]), data)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["cluster", "--data", str(data), "--params", str(params),
+                   "--alpha", "0.1", "--out", str(tmp_path / "labels.csv")])
+    assert rc == 1 and not caught
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "row 120 is too far from every mixture component" in errors[0]
+    assert not (tmp_path / "labels.csv").exists()

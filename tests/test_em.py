@@ -126,14 +126,6 @@ def test_stacked_starts_equal_one_start_runs(family, structure, name):
         assert sum(f.n_reinits for f in alone) > 0
 
 
-@pytest.mark.parametrize("qn", [1, 2, 3])
-def test_sum_rows_matches_plain_reduction(qn):
-    # the M-step sums responsibilities over rows through a transposed copy
-    # for speed; it must give numpy's own reduction, bit for bit
-    a = np.random.default_rng(qn).random((4, 300, qn)) * 1e3
-    assert np.array_equal(fc.em._sum_rows(a), a.sum(axis=1))
-
-
 class TestKmeansppInit:
     def test_single_cluster_uses_sample_mean(self):
         rng = np.random.default_rng(0)
@@ -179,6 +171,15 @@ class TestKmeansppInit:
         for cfg in (EmConfig(), EmConfig(family="student"), known):
             with pytest.raises(ValueError, match="need at least q=3 distinct rows"):
                 fc.fit_mixture(x, 3, cfg)
+
+    def test_rows_too_far_apart(self):
+        # k-means++ distances overflow: a clear error, not NaN probabilities
+        x = np.vstack([np.random.default_rng(0).normal(size=(120, 2)), [[1e160, 0.0]]])
+        for q in (1, 2):
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                kmeanspp_init(x, q, np.random.default_rng(1))
+            with pytest.raises(ValueError, match="squared distances overflow"):
+                fc.fit_mixture(x, q, EmConfig(structure="diagonal", n_starts=2))
 
     def test_structure_projection(self):
         rng = np.random.default_rng(3)

@@ -8,7 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fcrcluster as fc
-from fcrcluster.mixtures import _normalize, log_density_rows, regularize_scatter
+from fcrcluster.mixtures import (
+    _factorize,
+    _log_weighted,
+    _mahalanobis,
+    _map_rows,
+    _normalize,
+    _regularize,
+    _regularize_diagonal,
+    log_density_rows,
+    regularize_scatter,
+)
 
 
 def two_gaussians_1d(mu2=2.0):
@@ -205,6 +215,26 @@ class TestPosterior:
         assert np.all(np.isfinite(post.probs))
         np.testing.assert_allclose(post.probs.sum(axis=1), 1.0, atol=1e-10)
 
+    def test_row_far_from_every_component_is_named(self):
+        # its squared distances overflow under both components: no posterior
+        x = np.array([[0.0], [1.0], [1e160]])
+        with pytest.raises(ValueError, match="row 2 is too far from every mixture component"):
+            fc.posterior_matrix(two_gaussians_1d(), x)
+
+    @pytest.mark.parametrize("off_diagonal", [0.0, 0.5])
+    def test_overflow_under_one_component_is_harmless(self, off_diagonal):
+        # the distance to the narrow component overflows to inf, with no
+        # warning, on the elementwise and on the triangular-solve path alike
+        wide = np.array([[1e300, off_diagonal * 1e300], [off_diagonal * 1e300, 1e300]])
+        params = fc.MixtureParams(
+            [0.5, 0.5],
+            (fc.ComponentParams("gaussian", np.zeros(2), np.eye(2) * 1e-4),
+             fc.ComponentParams("student_t", np.zeros(2), wide, dof=5.0)),
+        )
+        post = fc.posterior_matrix(params, np.array([[0.0, 0.0], [1e155, 0.0]]))
+        assert np.all(np.isfinite(post.probs))
+        np.testing.assert_array_equal(post.probs[1], [0.0, 1.0])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3))
     def test_rows_stochastic_and_t_range(self, seed, q, d):
@@ -221,6 +251,14 @@ class TestPosterior:
             probs=np.array([[0.5, 0.5], [0.1, 0.9]]), t_values=np.array([0.5, 0.1])
         )
         np.testing.assert_array_equal(fc.map_labels(post), [0, 1])
+
+    @pytest.mark.parametrize("qn", [1, 2, 3, 9])
+    def test_map_labels_equal_argmax(self, qn):
+        # column compares give numpy's argmax, ties to the lowest index, on
+        # either memory layout of the probabilities
+        probs = np.random.default_rng(qn).integers(0, 4, size=(500, qn)) / 4.0
+        for layout in (probs, np.asfortranarray(probs)):
+            assert np.array_equal(_map_rows(layout), np.argmax(probs, axis=1))
 
 
 class TestRelabel:
@@ -327,12 +365,137 @@ def test_t_law_matches_closed_form_tail():
 
 @pytest.mark.parametrize("qn", [1, 2, 3, 7, 8, 9])
 def test_normalize_matches_plain_reductions(qn):
-    # the max and sum over components go slice by slice for speed; they must
-    # give numpy's own reductions over the last axis, bit for bit
-    lw = np.random.default_rng(qn).normal(scale=30.0, size=(3, 200, qn))
-    m = lw.max(axis=-1, keepdims=True)
+    # the max and sum over the components of a component-major (R, Q, n)
+    # stack are numpy's reductions over its middle axis, bit for bit; below
+    # 8 components they also give the bits of the reductions over the last
+    # axis of the (R, n, Q) layout, which sum pairwise from 8 terms on
+    lw = np.random.default_rng(qn).normal(scale=30.0, size=(3, qn, 200))
+    m = lw.max(axis=1, keepdims=True)
     p = np.exp(lw - m)
-    s = p.sum(axis=-1, keepdims=True)
-    probs, loglik = _normalize(lw)
+    s = p.sum(axis=1, keepdims=True)
+    probs, loglik = _normalize(lw.copy())
     assert np.array_equal(probs, p / s)
-    assert np.array_equal(loglik, (m[..., 0] + np.log(s[..., 0])).sum(axis=-1))
+    assert np.array_equal(loglik, (m[:, 0] + np.log(s[:, 0])).sum(axis=-1))
+    if qn < 8:
+        rows = np.ascontiguousarray(lw.transpose(0, 2, 1))
+        p_rows = np.exp(rows - rows.max(axis=-1, keepdims=True))
+        p_rows /= p_rows.sum(axis=-1, keepdims=True)
+        assert np.array_equal(probs, p_rows.transpose(0, 2, 1))
+
+
+def triangular_solves(x, means, chols):
+    """Squared Mahalanobis distances (R, Q, n) by one LAPACK triangular solve
+    per (run, component): the reference for the elementwise kernel."""
+    runs, qn = means.shape[:2]
+    out = np.empty((runs, qn, x.shape[-2]))
+    for r in range(runs):
+        for q in range(qn):
+            out[r, q] = _mahalanobis(chols[r, q], (x if x.ndim == 2 else x[r]) - means[r, q])
+    return out
+
+
+def diagonal_stack(rng, runs, qn, d, shared, n=50):
+    x = rng.normal(scale=3.0, size=(n, d) if shared else (runs, n, d))
+    means = rng.normal(size=(runs, qn, d))
+    scatters = rng.uniform(0.1, 4.0, size=(runs, qn, d))[..., None] * np.eye(d)
+    log_w = np.log(rng.dirichlet(np.ones(qn), size=runs))
+    return x, log_w, means, *_factorize(scatters)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+@pytest.mark.parametrize("runs", [1, 4])
+@pytest.mark.parametrize("shared", [True, False])
+@pytest.mark.parametrize("dof", [None, 5.0])
+def test_diagonal_kernel_matches_triangular_solves(d, runs, shared, dof):
+    # bit for bit up to d = 2; from d = 3 the solver sums its squares in
+    # another order
+    rng = np.random.default_rng(100 * d + runs)
+    x, log_w, means, chols, log_dets = diagonal_stack(rng, runs, 3, d, shared)
+    mahal = np.empty((runs, 3, x.shape[-2]))
+    lw = _log_weighted(x, log_w, means, chols, log_dets, (dof,) * 3, mahal)
+    expected = triangular_solves(x, means, chols)
+    if d <= 2:
+        assert np.array_equal(mahal, expected)
+    else:
+        np.testing.assert_allclose(mahal, expected, rtol=1e-14, atol=0.0)
+    r, q = runs - 1, 2
+    cov = chols[r, q] @ chols[r, q].T
+    law = (scipy.stats.multivariate_normal(means[r, q], cov) if dof is None
+           else scipy.stats.multivariate_t(means[r, q], cov, df=dof))
+    np.testing.assert_allclose(
+        lw[r, q], log_w[r, q] + law.logpdf(x if shared else x[r]), rtol=1e-12
+    )
+
+
+def test_kernel_is_chosen_by_the_factors(monkeypatch):
+    rng = np.random.default_rng(3)
+    x, log_w, means, chols, log_dets = diagonal_stack(rng, 4, 3, 3, shared=False)
+
+    def refuse(*args):
+        raise AssertionError("wrong kernel")
+
+    # diagonal factors make no triangular solve
+    with monkeypatch.context() as m:
+        m.setattr(fc.mixtures, "_mahalanobis", refuse)
+        _log_weighted(x, log_w, means, chols, log_dets, (None,) * 3)
+    # one nonzero off-diagonal entry anywhere in the stack takes the solves
+    chols[2, 1, 2, 0] = 0.3
+    monkeypatch.setattr(fc.mixtures, "_diagonal_mahalanobis", refuse)
+    mahal = np.empty((4, 3, 50))
+    _log_weighted(x, log_w, means, chols, log_dets, (None,) * 3, mahal)
+    assert np.array_equal(mahal, triangular_solves(x, means, chols))
+
+
+@pytest.mark.parametrize("diagonal", [True, False])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_mean_raises(diagonal, bad):
+    rng = np.random.default_rng(4)
+    x, log_w, means, chols, log_dets = diagonal_stack(rng, 2, 2, 2, shared=True)
+    if not diagonal:
+        chols[0, 0, 1, 0] = 0.3
+    means[1, 0, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        _log_weighted(x, log_w, means, chols, log_dets, (None, None))
+
+
+def full_from_diagonals(v):
+    out = np.zeros(v.shape + v.shape[-1:])
+    i = np.arange(v.shape[-1])
+    out[..., i, i] = v
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 9])
+def test_diagonal_floor_matches_regularize(d):
+    # the elementwise floor is the eigenvalue floor of _regularize, bit for
+    # bit with the same fail codes, up to norms of about 1e146, beyond which
+    # LAPACK's eigh rescales the matrix and moves its eigenvalues by an ulp
+    rng = np.random.default_rng(d)
+    v = rng.uniform(0.1, 10.0, size=(40, d))
+    v[0, 0] = 1e-12  # the floor fires
+    v[1] = 0.0
+    v[1, 0] = 5.0  # fires on zero variances
+    v[2, -1] = np.nan  # non-finite
+    v[3, 0] = np.inf
+    v[4] = 0.0  # zero trace
+    v[5, 0] = -1.0  # materially negative
+    v[6, 0] = -1e-12  # slightly negative: lifted
+    v[7] = 1e-310  # subnormal floor
+    v[8] = 1e-300
+    v[8, 0] = 0.0  # a floor below the smallest normal float
+    v[9] = 1e-200
+    v[9, 0] = 1e-220  # fires at a tiny scale
+    v[10] = 3.0  # a spherical scatter
+    v[11] = 1e120
+    v[11, 0] = 1e100  # fires at a large scale
+    v[20:] *= 10.0 ** rng.integers(-140, 140, size=(20, 1))
+    v[30:, 0] *= 1e-9
+    out, fail = _regularize_diagonal(v.copy())
+    expected, expected_fail = _regularize(full_from_diagonals(v))
+    assert np.array_equal(fail, expected_fail)
+    assert np.array_equal(full_from_diagonals(out), expected)
+    assert np.all(fail[[2, 3]] == 1) and np.all(fail[[4, 5, 7, 8]] == 3)
+    assert np.all(fail[[0, 1, 9, 10, 11]] == 0)
+    if d > 1:
+        assert fail[6] == 0 and out[1, 1] > 0.0
+        assert np.all(out[[0, 6, 9, 11], 0] > v[[0, 6, 9, 11], 0])
