@@ -13,7 +13,6 @@ from .bootstrap import (
     BootstrapCurve,
     FullRefit,
     WarmStart,
-    bootstrap_fcr,
     bootstrap_procedure,
     calibrate_level,
     level_grid,
@@ -22,11 +21,8 @@ from .bootstrap import (
 from .em import (
     EmConfig,
     FitResult,
-    em_fit,
     em_steps,
     fit_mixture,
-    kmeanspp_init,
-    student_em_fit,
 )
 from .evaluation import (
     FcrReport,
@@ -35,10 +31,8 @@ from .evaluation import (
     best_permutation,
     clustering_risk_mc,
     gaussian_t_tail,
-    mfcr_oracle_mc,
     oracle_curve,
     sample_fcr,
-    t_star_mc,
 )
 from .harness import (
     ScenarioConfig,
@@ -58,7 +52,6 @@ from .mixtures import (
     PosteriorMatrix,
     load_data_csv,
     load_mixture_json,
-    log_density,
     map_labels,
     mixture_from_json,
     mixture_loglik,

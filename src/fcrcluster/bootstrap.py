@@ -218,16 +218,31 @@ def _full_refits(draw, shape, q, cfg, refit_cfg, known, rng):
             yield xb, _refit_probs(runs[i * starts:(i + 1) * starts])
 
 
-def _fcr_curve(
+def calibrate_level(
     data,
     theta_hat: MixtureParams,
-    levels: np.ndarray,
+    alpha: float,
     cfg: BootstrapConfig,
-    em_cfg: EmConfig,
-    rng: np.random.Generator | None,
-) -> np.ndarray:
+    em_cfg: EmConfig | None = None,
+    rng: np.random.Generator | None = None,
+) -> BootstrapCurve:
+    """Estimate the FCR along the level grid and pick the working level.
+
+    The same resamples and refits serve every grid level; they draw from
+    ``rng`` (fresh OS entropy when ``None``).  The chosen index is the largest
+    level whose estimate is at or below ``alpha`` (``None`` when even the
+    smallest level overshoots).  A one-level grid, ``grid=[alpha_prime]``,
+    gives the bootstrap estimate of the FCR the plug-in achieves at
+    ``alpha_prime`` as ``fcr_hat[0]``.
+    """
+    cfg.validate()
+    alpha = _check_alpha(alpha)
+    levels = (
+        np.asarray(cfg.grid, dtype=float) if cfg.grid is not None else level_grid(alpha)
+    )
     x = validate_data(data)
     warm = isinstance(cfg.refit, WarmStart)
+    em_cfg = em_cfg or EmConfig()
     refit_cfg = em_cfg if warm else cfg.refit.em or em_cfg
     refit_cfg.validate()
     known = _known_factors(refit_cfg, theta_hat.q)
@@ -250,48 +265,7 @@ def _fcr_curve(
     for xb, probs in refits:
         ref_probs = posterior_matrix(theta_hat, xb).probs
         sums += _plugin_fcr_per_level(ref_probs if probs is None else probs, ref_probs, levels)
-    return sums / cfg.b
-
-
-def bootstrap_fcr(
-    data,
-    theta_hat: MixtureParams,
-    alpha_prime: float,
-    cfg: BootstrapConfig,
-    em_cfg: EmConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Bootstrap estimate of the FCR the plug-in achieves at ``alpha_prime``.
-
-    Resamples and refits draw from ``rng`` (fresh OS entropy when ``None``).
-    """
-    cfg.validate()
-    levels = np.array([_check_alpha(alpha_prime)])
-    curve = _fcr_curve(data, theta_hat, levels, cfg, em_cfg or EmConfig(), rng)
-    return float(curve[0])
-
-
-def calibrate_level(
-    data,
-    theta_hat: MixtureParams,
-    alpha: float,
-    cfg: BootstrapConfig,
-    em_cfg: EmConfig | None = None,
-    rng: np.random.Generator | None = None,
-) -> BootstrapCurve:
-    """Estimate the FCR along the level grid and pick the working level.
-
-    The same resamples and refits serve every grid level; they draw from
-    ``rng`` (fresh OS entropy when ``None``).  The chosen index is the largest
-    level whose estimate is at or below ``alpha`` (``None`` when even the
-    smallest level overshoots).
-    """
-    cfg.validate()
-    alpha = _check_alpha(alpha)
-    levels = (
-        np.asarray(cfg.grid, dtype=float) if cfg.grid is not None else level_grid(alpha)
-    )
-    fcr_hat = _fcr_curve(data, theta_hat, levels, cfg, em_cfg or EmConfig(), rng)
+    fcr_hat = sums / cfg.b
     chosen = choose_level(fcr_hat, alpha)
     if chosen is None:
         logger.info("calibration: no admissible grid level at alpha=%g", alpha)

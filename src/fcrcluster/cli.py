@@ -33,8 +33,11 @@ from .harness import (
     run_scenario,
     scenario_from_json,
 )
-from .mixtures import load_data_csv, load_mixture_json, posterior_matrix
-from .selection import _check_alpha, select_and_label, write_clustering_csv
+from .mixtures import STRUCTURES, load_data_csv, load_mixture_json, posterior_matrix
+from .selection import RULES, _check_alpha, select_and_label, write_clustering_csv
+
+# the structures a fit estimates: known covariances have no CLI option
+_ESTIMATED = [s for s in STRUCTURES if s != "known"]
 
 
 def _add_simulate(sub):
@@ -51,8 +54,7 @@ def _add_fit(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--family", choices=FAMILIES, default=EmConfig.family)
-    p.add_argument("--structure", choices=["spherical", "diagonal", "full"],
-                   default=EmConfig.structure)
+    p.add_argument("--structure", choices=_ESTIMATED, default=EmConfig.structure)
     p.add_argument("--out", required=True, help="output parameter JSON path")
     p.add_argument("--trace-out", default=None, help="optional loglik trace CSV")
     p.add_argument("--max-iter", type=int, default=EmConfig.max_iter)
@@ -66,7 +68,7 @@ def _add_cluster(sub):
     p.add_argument("--data", required=True)
     p.add_argument("--params", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--rule", choices=["cumulative", "fixed"], default="cumulative")
+    p.add_argument("--rule", choices=RULES, default="cumulative")
     p.add_argument("--out", required=True, help="output labels CSV")
 
 
@@ -78,8 +80,7 @@ def _add_calibrate(sub):
     p.add_argument("--mode", choices=MODES, default=BootstrapConfig.mode)
     p.add_argument("--b", type=int, default=BootstrapConfig.b)
     p.add_argument("--family", choices=FAMILIES, default=EmConfig.family)
-    p.add_argument("--structure", choices=["spherical", "diagonal", "full"],
-                   default=EmConfig.structure)
+    p.add_argument("--structure", choices=_ESTIMATED, default=EmConfig.structure)
     p.add_argument(
         "--refit", choices=["full", "warm"], default="full",
         help="re-estimation per resample: full EM or warm start",

@@ -16,24 +16,25 @@ standard per-item precision weights in the M-step.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .mixtures import (
     GAUSSIAN,
+    STRUCTURES,
     STUDENT_T,
     ComponentParams,
     MixtureParams,
     _check_weights,
+    _check_width,
     _factorize,
     _log_weighted,
     _normalize,
     _regularize,
     _regularize_diagonal,
-    mixture_to_json,
     regularize_scatter,
+    save_mixture_json,
     validate_data,
 )
 
@@ -62,7 +63,7 @@ class EmConfig:
     def validate(self) -> None:
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}")
-        if self.structure not in ("known", "spherical", "diagonal", "full"):
+        if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -119,15 +120,6 @@ def _safe_cov(x: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _check_rows(data, q: int) -> np.ndarray:
-    x = validate_data(data)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if x.shape[0] < q:
-        raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
-    return x
-
-
 _FAR_ROWS = "rows lie too far apart: their squared distances overflow (rescale the data)"
 
 
@@ -165,24 +157,6 @@ def _pooled(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
     if np.trace(pooled) <= 0:
         pooled = _safe_cov(x)
     return pooled
-
-
-def kmeanspp_init(
-    data, q: int, rng: np.random.Generator, structure: str = "full"
-) -> MixtureParams:
-    """k-means++ seeded Gaussian mixture initialization.
-
-    Centers are chosen by D^2 weighting (the single-center case uses the
-    sample mean, the one-step fixed point).  Weights start uniform and every
-    component starts at the pooled within-assignment covariance, projected
-    onto ``structure``; the ``known`` structure has no covariance to estimate.
-    """
-    if structure == "known":
-        raise ValueError("structure 'known' has no covariances for kmeanspp_init to estimate")
-    x = _check_rows(data, q)
-    centers, assign = _kmeanspp(x, q, rng)
-    scatter = _project_cov(_pooled(x, centers, assign), structure)
-    return _to_params((np.full(q, 1.0 / q), centers, [scatter] * q), None, structure)
 
 
 # The EM iterate is a stack of R independent runs: a tuple (weights, means,
@@ -524,7 +498,11 @@ def fit_mixture(
     """
     cfg = config or EmConfig()
     cfg.validate()
-    x = _check_rows(data, q)
+    x = validate_data(data)
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if x.shape[0] < q:
+        raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
     streams = np.random.default_rng(rng).spawn(cfg.n_starts)
     best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q), streams))
     return FitResult(
@@ -534,20 +512,6 @@ def fit_mixture(
         converged=best.converged,
         n_reinits=best.n_reinits,
     )
-
-
-def em_fit(data, q: int, config: EmConfig | None = None,
-           rng: np.random.Generator | None = None) -> FitResult:
-    """Gaussian-mixture EM (family forced to Gaussian)."""
-    cfg = replace(config or EmConfig(), family=GAUSSIAN)
-    return fit_mixture(data, q, cfg, rng)
-
-
-def student_em_fit(data, q: int, config: EmConfig | None = None,
-                   rng: np.random.Generator | None = None) -> FitResult:
-    """Student-t mixture EM with fixed dof (family forced to Student)."""
-    cfg = replace(config or EmConfig(), family="student")
-    return fit_mixture(data, q, cfg, rng)
 
 
 def em_steps(
@@ -560,6 +524,7 @@ def em_steps(
     """Run ``n_iter`` EM iterations from ``params`` (warm start, one start):
     the fit loop with ``max_iter=n_iter`` and no early stop."""
     x = validate_data(data)
+    _check_width(x, params.dim)
     dof = params.components[0].dof
     run = _Run(rng)
     _iterate(x, _theta(params), dof, replace(cfg, max_iter=n_iter, rel_tol=None),
@@ -569,9 +534,7 @@ def em_steps(
 
 def save_fit(result: FitResult, params_path, trace_path=None) -> None:
     """Write fitted parameters as JSON and, optionally, the trace as CSV."""
-    with open(params_path, "w") as fh:
-        json.dump(mixture_to_json(result.params), fh, indent=2)
-        fh.write("\n")
+    save_mixture_json(result.params, params_path)
     if trace_path is not None:
         with open(trace_path, "w", newline="") as fh:
             writer = csv.writer(fh)

@@ -56,9 +56,13 @@ class OracleCurve:
     """Monte-Carlo estimate of the selective risk curve of thresholding T.
 
     ``mfcr_values[j]`` estimates the mean MAP risk conditional on the risk
-    falling below ``t_grid[j]``; ``t_star`` is the largest threshold keeping
-    that conditional mean at or below the requested level, ``alpha_c`` and
-    ``alpha_bar`` the endpoints of the level range the curve can serve.
+    falling strictly below ``t_grid[j]`` (0 when no sampled risk does);
+    ``t_star`` is the largest threshold keeping that conditional mean at or
+    below the requested level, to within 1e-3, found by bisection on the one
+    frozen sample.  ``t_star`` is 1.0 for a level at or above ``alpha_bar``,
+    the unconditional mean risk, and NaN for a level at or below the
+    smallest sampled risk, which no threshold can serve.  ``alpha_c`` and
+    ``alpha_bar`` are the endpoints of the level range the curve can serve.
     """
 
     t_grid: np.ndarray
@@ -164,29 +168,6 @@ def clustering_risk_mc(
     return MonteCarloEstimate(estimate=float(risks.mean()), se=se, size=reps)
 
 
-def _t_sample(theta_star: MixtureParams, mc_size: int, rng: np.random.Generator) -> np.ndarray:
-    _, x = sample_mixture(theta_star, mc_size, rng)
-    return posterior_matrix(theta_star, x).t_values
-
-
-def mfcr_oracle_mc(
-    theta_star: MixtureParams, t: float, mc_size: int, rng: np.random.Generator
-) -> MonteCarloEstimate:
-    """Mean MAP risk conditional on the risk falling strictly below ``t``.
-
-    Returns 0 when the conditioning event never occurs in the sample.
-    """
-    t = float(t)
-    if not 0.0 < t <= 1.0:
-        raise ValueError("t must lie in (0, 1]")
-    values = _t_sample(theta_star, mc_size, rng)
-    below = values[values < t]
-    if below.size == 0:
-        return MonteCarloEstimate(estimate=0.0, se=0.0, size=mc_size)
-    se = float(below.std(ddof=1) / math.sqrt(below.size)) if below.size > 1 else 0.0
-    return MonteCarloEstimate(estimate=float(below.mean()), se=se, size=mc_size)
-
-
 def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float) -> float:
     """Largest t with conditional-mean(T | T < t) <= alpha, on a frozen
     sample, to within 1e-3."""
@@ -205,34 +186,6 @@ def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float) -> f
     return 0.5 * (lo + hi)
 
 
-def t_star_mc(
-    theta_star: MixtureParams,
-    alpha: float,
-    mc_size: int,
-    rng: np.random.Generator,
-) -> float:
-    """Largest threshold whose conditional mean risk stays at or below alpha.
-
-    Bisection on one frozen Monte-Carlo sample of the risk statistic, whose
-    conditional-mean curve is exactly non-decreasing.  Levels at or above
-    the unconditional mean return 1.0; levels at or below the smallest
-    achievable positive value raise ``ValueError``.
-    """
-    alpha = float(alpha)
-    values = np.sort(_t_sample(theta_star, mc_size, rng))
-    if values.size == 0:
-        raise ValueError("mc_size must be positive")
-    alpha_bar = float(values.mean())
-    if alpha >= alpha_bar:
-        return 1.0
-    alpha_c = float(values[0])
-    if alpha <= alpha_c:
-        raise ValueError(
-            f"alpha={alpha} is below the achievable range (alpha_c ~ {alpha_c:.4g})"
-        )
-    return _bisect_threshold(values, np.cumsum(values), alpha)
-
-
 def oracle_curve(
     theta_star: MixtureParams,
     alpha: float,
@@ -244,7 +197,10 @@ def oracle_curve(
     if rng is None:
         rng = np.random.default_rng()
     t_grid = (1.0 - 1.0 / theta_star.q) * np.arange(1, 51) / 50
-    values = np.sort(_t_sample(theta_star, mc_size, rng))
+    # the sample is the largest array here: nothing keeps it past this line
+    values = np.sort(
+        posterior_matrix(theta_star, sample_mixture(theta_star, mc_size, rng)[1]).t_values
+    )
     csum = np.cumsum(values)
     mfcr = np.zeros(t_grid.size)
     ses = np.zeros(t_grid.size)
@@ -311,23 +267,6 @@ def gaussian_t_tail(theta: MixtureParams, theta_star: MixtureParams, t: float) -
         m = float(a @ comp.mean) + b
         total += w * (ndtr((c - m) / spread) - ndtr((-c - m) / spread))
     return float(total)
-
-
-def write_fcr_report_csv(report: FcrReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["sample_fcr", "selection_frequency", "n_selected", "n_errors", "best_perm"]
-        )
-        writer.writerow(
-            [
-                repr(report.sample_fcr),
-                repr(report.selection_frequency),
-                report.n_selected,
-                report.n_errors_at_best_perm,
-                " ".join(str(p) for p in report.best_perm),
-            ]
-        )
 
 
 def write_oracle_curve_csv(curve: OracleCurve, path) -> None:

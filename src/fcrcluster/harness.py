@@ -351,7 +351,7 @@ def run_real_data(
     Ground-truth labels never feed the fit; they are read separately and
     only compared against the output.
     """
-    if procedure not in ("plugin", "fixed", "boot_param", "boot_nonparam"):
+    if procedure not in PROCEDURES or procedure == "oracle":  # the oracle needs the truth
         raise ValueError(f"unsupported real-data procedure {procedure!r}")
     x = load_data_csv(csv_path, columns)
     truth_labels = None

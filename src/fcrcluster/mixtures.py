@@ -239,6 +239,12 @@ def validate_data(data) -> np.ndarray:
     return x
 
 
+def _check_width(x: np.ndarray, d: int) -> None:
+    """Raise ``ValueError`` unless the rows of ``x`` (n, d) have ``d`` columns."""
+    if x.size and x.shape[1] != d:
+        raise ValueError(f"data has dimension {x.shape[1]}, expected {d}")
+
+
 _NONFINITE = "array must not contain infs or NaNs"
 
 
@@ -359,21 +365,15 @@ def _normalize(lw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, (m + np.log(s)).sum(axis=-1)
 
 
-def log_density_rows(component: ComponentParams, x: np.ndarray) -> np.ndarray:
-    """Component log density evaluated at every row of ``x``."""
+def log_density_rows(component: ComponentParams, data) -> np.ndarray:
+    """Component log density evaluated at every row of ``data`` (n, d)."""
+    x = validate_data(data)
+    _check_width(x, component.dim)
     chol, log_det = _factorize(component.scatter[None, None])
     lw = _log_weighted(
         x, np.zeros((1, 1)), component.mean[None, None], chol, log_det, (component.dof,)
     )
     return lw[0, 0]
-
-
-def log_density(component: ComponentParams, x) -> float:
-    """Log density of a single point under one component."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.size != component.dim:
-        raise ValueError(f"point has dimension {x.size}, expected {component.dim}")
-    return float(log_density_rows(component, x[None, :])[0])
 
 
 def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
@@ -402,8 +402,7 @@ def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
 def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix, float]:
     """Posterior matrix together with the data log-likelihood."""
     x = validate_data(data)
-    if x.size and x.shape[1] != params.dim:
-        raise ValueError(f"data has dimension {x.shape[1]}, expected {params.dim}")
+    _check_width(x, params.dim)
     if x.shape[0] == 0:
         empty = PosteriorMatrix(
             probs=np.empty((0, params.q)), t_values=np.empty(0)

@@ -59,10 +59,10 @@ class TestEstimator:
             [1.0], (fc.ComponentParams("gaussian", np.zeros(1), np.eye(1)),)
         )
         x = np.random.default_rng(0).normal(size=(50, 1))
-        cfg = fc.BootstrapConfig(b=5, refit=WarmStart(0))
-        val = fc.bootstrap_fcr(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
-                               np.random.default_rng(1))
-        assert val == 0.0
+        cfg = fc.BootstrapConfig(b=5, grid=[0.1], refit=WarmStart(0))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                                   np.random.default_rng(1))
+        assert curve.fcr_hat.tolist() == [0.0]
 
     def test_identity_resample_reduces_to_plugin_risk_average(self):
         # one resample equal to the data, no refit: the estimator equals the
@@ -79,10 +79,10 @@ class TestEstimator:
 
     def test_separated_case_small_estimate(self):
         _, _, x, params = fitted_pair(eps=4.0, n=200, seed=4)
-        cfg = fc.BootstrapConfig(b=80, refit=WarmStart(5))
-        val = fc.bootstrap_fcr(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
-                               np.random.default_rng(5))
-        assert val < 0.05
+        cfg = fc.BootstrapConfig(b=80, grid=[0.1], refit=WarmStart(5))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                                   np.random.default_rng(5))
+        assert curve.fcr_hat[0] < 0.05
 
 
 class TestChooseLevel:
@@ -141,17 +141,17 @@ class TestCalibration:
             cfg.validate()
 
     @pytest.mark.parametrize("level", [1.5, 0.0])
-    @pytest.mark.parametrize("estimate", [fc.calibrate_level, fc.bootstrap_fcr])
-    def test_level_checked_before_resampling(self, monkeypatch, estimate, level):
+    @pytest.mark.parametrize("grid", [None, [0.05]], ids=["calibrate_level", "one_level"])
+    def test_level_checked_before_resampling(self, monkeypatch, grid, level):
         _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
 
         def no_resample(*args, **kwargs):
             raise AssertionError("resampled before the level was checked")
 
         monkeypatch.setattr(fc.bootstrap, "resample", no_resample)
-        cfg = fc.BootstrapConfig(b=3, refit=WarmStart(1))
+        cfg = fc.BootstrapConfig(b=3, grid=grid, refit=WarmStart(1))
         with pytest.raises(ValueError, match="alpha must lie in"):
-            estimate(x, params, level, cfg)
+            fc.calibrate_level(x, params, level, cfg)
 
     def test_negative_warm_iters_rejected(self):
         for refit, message in ((WarmStart(-1), "iters must be >= 0"),
@@ -363,8 +363,8 @@ class TestStackedRefits:
                                        refit_cfg, 18, keep_original=(4,))
         assert np.array_equal(curve.fcr_hat, expected)
 
-    @pytest.mark.parametrize("estimate", [fc.calibrate_level, fc.bootstrap_fcr])
-    def test_refit_config_checked_before_resampling(self, monkeypatch, estimate):
+    @pytest.mark.parametrize("grid", [None, [0.05]], ids=["calibrate_level", "one_level"])
+    def test_refit_config_checked_before_resampling(self, monkeypatch, grid):
         # an invalid refit config used to fail every refit, each falling back
         # to the original fit, so nothing was refitted and nothing raised
         _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
@@ -382,9 +382,9 @@ class TestStackedRefits:
             (WarmStart(2.5), None, "iters must be >= 0 and whole"),
         ]
         for refit, em, message in cases:
-            cfg = fc.BootstrapConfig(b=3, refit=refit)
+            cfg = fc.BootstrapConfig(b=3, grid=grid, refit=refit)
             with pytest.raises(ValueError, match=message):
-                estimate(x, params, 0.1, cfg, em)
+                fc.calibrate_level(x, params, 0.1, cfg, em)
 
 
 class TestBootstrapProcedure:

@@ -1,7 +1,7 @@
 import inspect
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,6 +165,25 @@ def test_parameter_names_read_by_the_benchmark_tracer():
                       (fc.posterior_matrix, {"params", "data"}),
                       (fc.em_steps, {"n_iter"})):
         assert names <= set(inspect.signature(fn).parameters), fn.__name__
+
+
+def test_names_the_benchmark_reads_exist():
+    # bench/ drives the CLI and reloads and scores its outputs; its tracer
+    # observes four functions and bootstrap.resample, wrapping only functions
+    # a module defines, and reads FitResult fields: a trim that drops or
+    # moves one of these breaks the benchmark
+    for module, names in (
+        (fc.cli, ["main"]),
+        (fc.mixtures, ["load_mixture_json", "mixture_loglik", "posterior_matrix"]),
+        (fc.em, ["fit_mixture", "em_steps"]),
+        (fc.bootstrap, ["calibrate_level", "resample"]),
+    ):
+        for name in names:
+            fn = getattr(module, name, None)
+            assert inspect.isfunction(fn), f"{module.__name__}.{name}"
+            assert fn.__module__ == module.__name__, f"{module.__name__}.{name}"
+    read = {"n_starts_run", "loglik_trace", "converged", "n_reinits"}
+    assert read <= {f.name for f in fields(fc.FitResult)}
 
 
 def test_error_exit_code(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fcrcluster as fc
-from fcrcluster.em import FAMILIES, EmConfig, kmeanspp_init
+from fcrcluster.em import FAMILIES, EmConfig, _kmeanspp
 from fcrcluster.mixtures import GAUSSIAN, STRUCTURES
 
 
@@ -127,45 +127,44 @@ def test_stacked_starts_equal_one_start_runs(family, structure, name):
 
 
 class TestKmeansppInit:
+    """The k-means++ start of every EM run: centres and each row's nearest."""
+
     def test_single_cluster_uses_sample_mean(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(50, 2))
-        init = kmeanspp_init(x, 1, rng)
-        np.testing.assert_allclose(init.components[0].mean, x.mean(axis=0))
-        np.testing.assert_array_equal(init.weights, [1.0])
+        centers, assign = _kmeanspp(x, 1, rng)
+        np.testing.assert_allclose(centers, x.mean(axis=0, keepdims=True))
+        assert np.all(assign == 0)
 
     def test_q_equals_n_distinct_rows(self):
         x = np.arange(10.0).reshape(5, 2)
-        init = kmeanspp_init(x, 5, np.random.default_rng(1))
-        centers = sorted(tuple(c.mean) for c in init.components)
-        assert centers == sorted(map(tuple, x))
+        centers, assign = _kmeanspp(x, 5, np.random.default_rng(1))
+        assert sorted(map(tuple, centers)) == sorted(map(tuple, x))
+        assert np.array_equal(centers[assign], x)
 
     def test_separated_blobs_get_one_center_each(self):
         hits = 0
         for seed in range(100):
             rng = np.random.default_rng(seed)
             x = blobs(rng, [(-10.0, -10.0), (10.0, 10.0)], 100)
-            init = kmeanspp_init(x, 2, rng)
-            signs = sorted(np.sign(c.mean[0]) for c in init.components)
-            hits += signs == [-1.0, 1.0]
+            centers, _ = _kmeanspp(x, 2, rng)
+            hits += sorted(np.sign(centers[:, 0])) == [-1.0, 1.0]
         assert hits >= 99
 
     def test_needs_enough_rows(self):
-        with pytest.raises(ValueError, match="rows"):
-            kmeanspp_init(np.zeros((1, 2)), 2, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="need at least q=2 rows, got 1"):
+            fc.fit_mixture(np.zeros((1, 2)), 2, EmConfig(n_starts=1))
 
     def test_rejects_q_below_one(self):
         x = np.arange(10.0).reshape(5, 2)
         for q in (0, -1):
-            with pytest.raises(ValueError, match="q must be >= 1"):
-                kmeanspp_init(x, q, np.random.default_rng(0))
             with pytest.raises(ValueError, match="q must be >= 1"):
                 fc.fit_mixture(x, q, EmConfig(n_starts=1))
 
     def test_fewer_distinct_rows_than_q(self):
         x = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
         with pytest.raises(ValueError, match="need at least q=3 distinct rows"):
-            kmeanspp_init(x, 3, np.random.default_rng(0))
+            _kmeanspp(x, 3, np.random.default_rng(0))
         known = EmConfig(structure="known", known_covariances=tuple(
             np.eye(2) * (j + 1) for j in range(3)))
         for cfg in (EmConfig(), EmConfig(family="student"), known):
@@ -177,29 +176,30 @@ class TestKmeansppInit:
         x = np.vstack([np.random.default_rng(0).normal(size=(120, 2)), [[1e160, 0.0]]])
         for q in (1, 2):
             with pytest.raises(ValueError, match="squared distances overflow"):
-                kmeanspp_init(x, q, np.random.default_rng(1))
+                _kmeanspp(x, q, np.random.default_rng(1))
             with pytest.raises(ValueError, match="squared distances overflow"):
                 fc.fit_mixture(x, q, EmConfig(structure="diagonal", n_starts=2))
 
     def test_structure_projection(self):
+        # a Student-t start takes its initial distances under the pooled
+        # within-assignment covariance, projected onto the structure
         rng = np.random.default_rng(3)
         x = blobs(rng, [(0.0, 0.0)], 200) @ np.array([[1.0, 0.4], [0.0, 1.0]])
-        init = kmeanspp_init(x, 2, rng, structure="diagonal")
-        for comp in init.components:
-            off = comp.scatter[~np.eye(2, dtype=bool)]
-            assert np.all(off == 0.0)
-        init_sph = kmeanspp_init(x, 2, rng, structure="spherical")
-        s = init_sph.components[0].scatter
-        assert s[0, 0] == pytest.approx(s[1, 1])
-        with pytest.raises(ValueError, match="structure 'known' has no covariances"):
-            kmeanspp_init(x, 2, rng, structure="known")
+        pooled = fc.em._pooled(x, *_kmeanspp(x, 2, rng))
+        assert pooled[0, 1] != 0.0
+        diag = fc.em._project_cov(pooled, "diagonal")
+        assert np.array_equal(diag, np.diag(np.diag(pooled)))
+        sph = fc.em._project_cov(pooled, "spherical")
+        assert np.array_equal(sph, np.trace(pooled) / 2 * np.eye(2))
+        assert fc.em._project_cov(pooled, "full") is pooled
 
 
 class TestGaussianEm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(120, 2)) @ np.array([[1.5, 0.2], [0.0, 0.7]])
-        fit = fc.em_fit(x, 1, EmConfig(n_starts=1, max_iter=5), np.random.default_rng(0))
+        fit = fc.fit_mixture(x, 1, EmConfig(n_starts=1, max_iter=5),
+                             np.random.default_rng(0))
         np.testing.assert_allclose(fit.params.components[0].mean, x.mean(axis=0), rtol=1e-12)
         np.testing.assert_allclose(
             fit.params.components[0].scatter,
@@ -210,7 +210,7 @@ class TestGaussianEm:
     def test_two_blob_recovery(self):
         rng = np.random.default_rng(5)
         x = blobs(rng, [(-5.0, 0.0), (5.0, 0.0)], 200)
-        fit = fc.em_fit(x, 2, EmConfig(n_starts=5), np.random.default_rng(1))
+        fit = fc.fit_mixture(x, 2, EmConfig(n_starts=5), np.random.default_rng(1))
         means = sorted(c.mean[0] for c in fit.params.components)
         assert abs(means[0] - (-5.0)) < 0.3
         assert abs(means[1] - 5.0) < 0.3
@@ -218,16 +218,16 @@ class TestGaussianEm:
     def test_trace_monotone(self):
         rng = np.random.default_rng(6)
         x = blobs(rng, [(0.0, 0.0), (2.0, 1.0)], 150)
-        fit = fc.em_fit(x, 2, EmConfig(n_starts=3), np.random.default_rng(2))
+        fit = fc.fit_mixture(x, 2, EmConfig(n_starts=3), np.random.default_rng(2))
         assert np.all(np.diff(fit.loglik_trace) >= -1e-8)
 
     def test_monotone_all_structures_and_families(self):
         rng = np.random.default_rng(7)
         for structure in ("spherical", "diagonal", "full"):
-            for family, fitter in (("gaussian", fc.em_fit), ("student", fc.student_em_fit)):
+            for family in FAMILIES:
                 x = blobs(rng, [(0.0, 0.0), (1.5, 1.5)], 60)
-                cfg = EmConfig(structure=structure, n_starts=2, max_iter=40)
-                fit = fitter(x, 2, cfg, np.random.default_rng(8))
+                cfg = EmConfig(family=family, structure=structure, n_starts=2, max_iter=40)
+                fit = fc.fit_mixture(x, 2, cfg, np.random.default_rng(8))
                 diffs = np.diff(fit.loglik_trace)
                 slack = 1e-8 * np.abs(fit.loglik_trace[:-1])
                 assert np.all(diffs >= -np.maximum(slack, 1e-8)), (structure, family)
@@ -238,7 +238,7 @@ class TestGaussianEm:
         kw = np.array([0.4, 0.6])
         kc = (np.eye(2) * 1.3, np.eye(2) * 0.8)
         cfg = EmConfig(structure="known", known_weights=kw, known_covariances=kc, n_starts=2)
-        fit = fc.em_fit(x, 2, cfg, np.random.default_rng(3))
+        fit = fc.fit_mixture(x, 2, cfg, np.random.default_rng(3))
         assert np.array_equal(fit.params.weights, kw)
         for comp, known in zip(fit.params.components, kc):
             assert np.array_equal(comp.scatter, known)
@@ -250,9 +250,6 @@ class TestGaussianEm:
     def test_starts_build_no_mixture_params(self, monkeypatch):
         # each start runs from k-means++ arrays; parameters are built and
         # validated once, when the fit returns
-        def no_init(*args, **kwargs):
-            raise AssertionError("kmeanspp_init called by a start")
-
         built = []
         post_init = fc.MixtureParams.__post_init__
 
@@ -260,7 +257,6 @@ class TestGaussianEm:
             built.append(self)
             post_init(self)
 
-        monkeypatch.setattr(fc.em, "kmeanspp_init", no_init)
         monkeypatch.setattr(fc.MixtureParams, "__post_init__", counting)
         x = blobs(np.random.default_rng(2), [(0.0, 0.0), (4.0, 0.0)], 30)
         for family in FAMILIES:
@@ -270,7 +266,7 @@ class TestGaussianEm:
 
     def test_known_parts_checked_against_q(self):
         x = blobs(np.random.default_rng(17), [(0.0, 0.0), (4.0, 0.0)], 30)
-        fit = fc.em_fit(x, 2, EmConfig(n_starts=1), np.random.default_rng(0))
+        fit = fc.fit_mixture(x, 2, EmConfig(n_starts=1), np.random.default_rng(0))
         for cfg in (
             EmConfig(known_weights=np.array([1.0])),
             EmConfig(known_weights=np.array([0.7, 0.7])),
@@ -281,15 +277,24 @@ class TestGaussianEm:
             with pytest.raises(ValueError):
                 fc.em_steps(x, fit.params, cfg, 2, np.random.default_rng(1))
 
+    @pytest.mark.parametrize("structure", ["full", "diagonal"])
+    def test_em_steps_checks_the_data_width(self, structure):
+        # one column of two-column data used to give a one-column mixture
+        truth = fc.gaussian_separation_truth(2, 2, 3.0)
+        _, x = fc.sample_mixture(truth, 40, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="data has dimension 1, expected 2"):
+            fc.em_steps(x[:, :1], truth, EmConfig(structure=structure), 5,
+                        np.random.default_rng(1))
+
     def test_constraint_shapes(self):
         rng = np.random.default_rng(10)
         x = blobs(rng, [(0.0, 0.0), (4.0, 0.0)], 120) @ np.array([[1.0, 0.3], [0.0, 1.0]])
-        diag = fc.em_fit(x, 2, EmConfig(structure="diagonal", n_starts=2),
-                         np.random.default_rng(4))
+        diag = fc.fit_mixture(x, 2, EmConfig(structure="diagonal", n_starts=2),
+                              np.random.default_rng(4))
         for comp in diag.params.components:
             assert comp.scatter[0, 1] == 0.0 and comp.scatter[1, 0] == 0.0
-        sph = fc.em_fit(x, 2, EmConfig(structure="spherical", n_starts=2),
-                        np.random.default_rng(5))
+        sph = fc.fit_mixture(x, 2, EmConfig(structure="spherical", n_starts=2),
+                             np.random.default_rng(5))
         for comp in sph.params.components:
             assert comp.scatter[0, 0] == comp.scatter[1, 1]
             assert comp.scatter[0, 1] == 0.0
@@ -298,8 +303,8 @@ class TestGaussianEm:
         rng = np.random.default_rng(11)
         x = blobs(rng, [(0.0, 0.0), (3.0, 3.0)], 100)
         cfg = EmConfig(n_starts=4)
-        fit1 = fc.em_fit(x, 2, cfg, np.random.default_rng(99))
-        fit2 = fc.em_fit(x, 2, cfg, np.random.default_rng(99))
+        fit1 = fc.fit_mixture(x, 2, cfg, np.random.default_rng(99))
+        fit2 = fc.fit_mixture(x, 2, cfg, np.random.default_rng(99))
         np.testing.assert_array_equal(fit1.loglik_trace, fit2.loglik_trace)
         np.testing.assert_array_equal(fit1.params.weights, fit2.params.weights)
         for a, b in zip(fit1.params.components, fit2.params.components):
@@ -310,9 +315,9 @@ class TestGaussianEm:
         rng = np.random.default_rng(12)
         x = blobs(rng, [(0.0, 1.0, -1.0), (4.0, -2.0, 2.0)], 80)
         cfg = EmConfig(n_starts=3)
-        fit = fc.em_fit(x, 2, cfg, np.random.default_rng(5))
+        fit = fc.fit_mixture(x, 2, cfg, np.random.default_rng(5))
         perm = [2, 0, 1]
-        fit_p = fc.em_fit(x[:, perm], 2, cfg, np.random.default_rng(5))
+        fit_p = fc.fit_mixture(x[:, perm], 2, cfg, np.random.default_rng(5))
         np.testing.assert_allclose(fit_p.loglik_trace[-1], fit.loglik_trace[-1], rtol=1e-9)
         for a, b in zip(fit.params.components, fit_p.params.components):
             np.testing.assert_allclose(b.mean, a.mean[perm], rtol=1e-8, atol=1e-10)
@@ -324,7 +329,8 @@ class TestGaussianEm:
         # one far outlier cannot hold a component: mass collapses, reinit kicks in
         rng = np.random.default_rng(13)
         x = np.vstack([rng.normal(size=(60, 1)), [[1e4]]])
-        fit = fc.em_fit(x, 2, EmConfig(n_starts=1, max_iter=30), np.random.default_rng(6))
+        fit = fc.fit_mixture(x, 2, EmConfig(n_starts=1, max_iter=30),
+                             np.random.default_rng(6))
         assert np.all(np.isfinite(fit.loglik_trace))
 
 
@@ -384,8 +390,8 @@ class TestDegenerateEm:
 class TestStudentEm:
     def test_symmetric_two_point_mean_zero(self):
         x = np.array([[-3.0], [3.0]])
-        fit = fc.student_em_fit(x, 1, EmConfig(n_starts=1, max_iter=60),
-                                np.random.default_rng(0))
+        cfg = EmConfig(family="student", n_starts=1, max_iter=60)
+        fit = fc.fit_mixture(x, 1, cfg, np.random.default_rng(0))
         assert abs(fit.params.components[0].mean[0]) < 1e-10
 
     def test_outlier_robustness(self):
@@ -393,8 +399,9 @@ class TestStudentEm:
         clean = rng.normal(size=(99, 1))
         x = np.vstack([clean, [[100.0]]])
         cfg = EmConfig(n_starts=1, max_iter=80)
-        gauss = fc.em_fit(x, 1, cfg, np.random.default_rng(1))
-        student = fc.student_em_fit(x, 1, cfg, np.random.default_rng(1))
+        gauss = fc.fit_mixture(x, 1, cfg, np.random.default_rng(1))
+        student = fc.fit_mixture(x, 1, replace(cfg, family="student"),
+                                 np.random.default_rng(1))
         target = clean.mean()
         err_gauss = abs(gauss.params.components[0].mean[0] - target)
         err_student = abs(student.params.components[0].mean[0] - target)
@@ -409,8 +416,8 @@ class TestStudentEm:
     def test_dof_never_updated(self):
         rng = np.random.default_rng(15)
         x = blobs(rng, [(0.0,), (5.0,)], 80)
-        fit = fc.student_em_fit(x, 2, EmConfig(n_starts=2, dof=4.0, max_iter=30),
-                                np.random.default_rng(2))
+        cfg = EmConfig(family="student", n_starts=2, dof=4.0, max_iter=30)
+        fit = fc.fit_mixture(x, 2, cfg, np.random.default_rng(2))
         assert all(c.dof == 4.0 for c in fit.params.components)
 
 
@@ -418,7 +425,7 @@ class TestFitExport:
     def test_save_fit_round_trip(self, tmp_path):
         rng = np.random.default_rng(16)
         x = blobs(rng, [(0.0, 0.0), (4.0, 4.0)], 60)
-        fit = fc.em_fit(x, 2, EmConfig(n_starts=2), np.random.default_rng(0))
+        fit = fc.fit_mixture(x, 2, EmConfig(n_starts=2), np.random.default_rng(0))
         params_path = tmp_path / "params.json"
         trace_path = tmp_path / "trace.csv"
         from fcrcluster.em import save_fit

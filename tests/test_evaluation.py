@@ -110,16 +110,6 @@ class TestSampleFcr:
         assert fc.sample_fcr(true, relab[pred], sel).sample_fcr == base
         assert fc.sample_fcr(relab[true], pred, sel).sample_fcr == base
 
-    def test_report_csv_export(self, tmp_path):
-        rep = fc.sample_fcr([0, 0, 1], [0, 1, 1], np.arange(3))
-        path = tmp_path / "report.csv"
-        from fcrcluster.evaluation import write_fcr_report_csv
-
-        write_fcr_report_csv(rep, path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("sample_fcr,selection_frequency")
-        assert len(lines) == 2
-
     def test_min_can_only_help(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -167,65 +157,72 @@ class TestClusteringRisk:
 
         rng = np.random.default_rng(2)
         est = fc.clustering_risk_mc(truth, bayes, n=200, reps=300, rng=rng)
-        t_mean = fc.mfcr_oracle_mc(truth, 1.0, 200_000, np.random.default_rng(3))
-        tol = 3 * math.hypot(est.se, t_mean.se) + 1e-3
-        assert est.estimate == pytest.approx(t_mean.estimate, abs=tol)
+        curve = fc.oracle_curve(truth, 0.1, 200_000, np.random.default_rng(3))
+        tol = 3 * math.hypot(est.se, curve.mfcr_ses[-1]) + 1e-3
+        assert est.estimate == pytest.approx(curve.alpha_bar, abs=tol)
 
 
 class TestMfcrOracle:
+    """``oracle_curve``'s mean risk conditional on the risk falling below each
+    grid threshold."""
+
     def test_empty_event_is_zero(self):
-        truth = symmetric_pair(eps=20.0)
-        est = fc.mfcr_oracle_mc(truth, 1e-12, 20_000, np.random.default_rng(0))
-        assert est.estimate == 0.0
+        # nearly identical components: every sampled risk is close to 1/2
+        truth = symmetric_pair(eps=0.01)
+        curve = fc.oracle_curve(truth, 0.1, 20_000, np.random.default_rng(0))
+        assert curve.mfcr_values[0] == 0.0 and curve.mfcr_ses[0] == 0.0
+        assert curve.mfcr_values[-1] > 0.49
 
     def test_full_support_equals_unconditional_mean(self):
-        truth = symmetric_pair(eps=1.5)
-        rng = np.random.default_rng(1)
-        full = fc.mfcr_oracle_mc(truth, 0.5, 200_000, rng)
-        # T <= 1/2 for two components, so conditioning on T < 0.5 is
-        # conditioning on everything up to a null boundary
-        uncond = fc.mfcr_oracle_mc(truth, 1.0, 200_000, np.random.default_rng(2))
-        assert full.estimate == pytest.approx(
-            uncond.estimate, abs=3 * math.hypot(full.se, uncond.se)
-        )
+        # the last threshold is the largest possible risk, 1 - 1/Q, so
+        # conditioning on the risk below it conditions on everything up to
+        # a null boundary
+        for q in (2, 3):
+            truth = fc.gaussian_separation_truth(q, 2, 1.5)
+            curve = fc.oracle_curve(truth, 0.1, 200_000, np.random.default_rng(1))
+            assert curve.t_grid[-1] == pytest.approx(1.0 - 1.0 / q)
+            assert curve.mfcr_values[-1] == pytest.approx(curve.alpha_bar, rel=1e-12)
 
     def test_estimate_below_threshold(self):
         truth = symmetric_pair(eps=1.5)
-        rng = np.random.default_rng(3)
-        for t in (0.05, 0.1, 0.2, 0.4):
-            est = fc.mfcr_oracle_mc(truth, t, 100_000, rng)
-            assert est.estimate < t
-
-    def test_invalid_t(self):
-        truth = symmetric_pair()
-        with pytest.raises(ValueError, match="t must"):
-            fc.mfcr_oracle_mc(truth, 0.0, 100, np.random.default_rng(0))
+        curve = fc.oracle_curve(truth, 0.1, 100_000, np.random.default_rng(3))
+        assert np.all(curve.mfcr_values < curve.t_grid)
+        assert np.all(curve.mfcr_values > 0.0)
 
 
 class TestTStar:
+    """``oracle_curve``'s largest threshold whose conditional mean risk stays
+    at or below the level."""
+
     def test_alpha_above_alpha_bar_gives_one(self):
         truth = symmetric_pair(eps=4.0)  # alpha_bar is small
-        t = fc.t_star_mc(truth, 0.4, 50_000, np.random.default_rng(0))
-        assert t == 1.0
+        curve = fc.oracle_curve(truth, 0.4, 50_000, np.random.default_rng(0))
+        assert curve.alpha_bar < 0.4 and curve.t_star == 1.0
 
-    def test_alpha_below_range_raises(self):
+    def test_alpha_below_range_gives_nan(self):
+        # at or below the smallest sampled risk no threshold serves the level
         truth = symmetric_pair(eps=1.0)
-        with pytest.raises(ValueError, match="below the achievable range"):
-            fc.t_star_mc(truth, 1e-9, 50_000, np.random.default_rng(1))
+        curve = fc.oracle_curve(truth, 1e-9, 50_000, np.random.default_rng(1))
+        assert math.isnan(curve.t_star)
+        assert curve.alpha_c > 1e-9
 
     def test_bracketing(self):
+        # on the one frozen sample the curve is exactly non-decreasing, and
+        # the bisection places t_star to within 1e-3: every grid point below
+        # it keeps the level, every grid point above it exceeds the level
         truth = symmetric_pair(eps=math.sqrt(2.0))
         alpha = 0.1
-        t_star = fc.t_star_mc(truth, alpha, 400_000, np.random.default_rng(2))
-        below = fc.mfcr_oracle_mc(truth, t_star - 0.01, 400_000, np.random.default_rng(3))
-        above = fc.mfcr_oracle_mc(truth, t_star + 0.01, 400_000, np.random.default_rng(4))
-        assert below.estimate <= alpha + 3 * below.se
-        assert above.estimate >= alpha - 3 * above.se
+        curve = fc.oracle_curve(truth, alpha, 400_000, np.random.default_rng(2))
+        below = curve.t_grid <= curve.t_star - 1e-3
+        above = curve.t_grid >= curve.t_star + 1e-3
+        assert below.any() and above.any()
+        assert np.all(curve.mfcr_values[below] <= alpha)
+        assert np.all(curve.mfcr_values[above] > alpha)
 
     def test_t_star_exceeds_alpha(self):
         truth = symmetric_pair(eps=math.sqrt(2.0))
-        t_star = fc.t_star_mc(truth, 0.1, 200_000, np.random.default_rng(5))
-        assert t_star > 0.1
+        curve = fc.oracle_curve(truth, 0.1, 200_000, np.random.default_rng(5))
+        assert curve.t_star > 0.1
 
 
 class TestOracleCurve:
