@@ -15,7 +15,6 @@ done one resample at a time.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +35,7 @@ from .mixtures import (
     MixtureParams,
     _map_rows,
     _t_values,
+    _write_csv,
     map_labels,
     posterior_matrix,
     sample_mixture,
@@ -44,9 +44,9 @@ from .mixtures import (
 from .selection import (
     SelectiveClustering,
     _check_alpha,
+    cumulative_select,
     empty_selection,
     kstar_grid,
-    select_and_label,
 )
 
 logger = logging.getLogger(__name__)
@@ -245,7 +245,7 @@ def calibrate_level(
     em_cfg = em_cfg or EmConfig()
     refit_cfg = em_cfg if warm else cfg.refit.em or em_cfg
     refit_cfg.validate()
-    known = _known_factors(refit_cfg, theta_hat.q)
+    known = _known_factors(refit_cfg, theta_hat.q, x.shape[1])
     rng = np.random.default_rng(rng)
     logger.info(
         "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b,
@@ -305,26 +305,20 @@ def bootstrap_procedure(
 def clustering_at_calibrated_level(
     theta_hat: MixtureParams, data, alpha: float, curve: BootstrapCurve
 ) -> SelectiveClustering:
-    """Plug-in selection at the calibrated grid level of ``curve``."""
+    """Plug-in selection at the calibrated grid level of ``curve``: the
+    cumulative rule at that level, or nothing when no level is admissible."""
     post = posterior_matrix(theta_hat, data)
-    if curve.chosen_index is None:
-        return SelectiveClustering(
-            labels=map_labels(post),
-            t_values=post.t_values,
-            selection=empty_selection(post.t_values),
-            alpha=float(alpha),
-        )
-    working = float(curve.levels[curve.chosen_index])
-    sc = select_and_label(post, working, "cumulative")
+    selection = (
+        empty_selection(post.t_values)
+        if curve.chosen_index is None
+        else cumulative_select(post.t_values, curve.levels[curve.chosen_index])
+    )
     return SelectiveClustering(
-        labels=sc.labels, t_values=sc.t_values, selection=sc.selection, alpha=float(alpha)
+        labels=map_labels(post), t_values=post.t_values, selection=selection,
+        alpha=float(alpha),
     )
 
 
 def write_curve_csv(curve: BootstrapCurve, path) -> None:
     """CSV with columns level, fcr_hat."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["level", "fcr_hat"])
-        for lv, fh_val in zip(curve.levels, curve.fcr_hat):
-            writer.writerow([repr(float(lv)), repr(float(fh_val))])
+    _write_csv(path, ["level", "fcr_hat"], zip(curve.levels, curve.fcr_hat))

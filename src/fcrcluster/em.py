@@ -15,7 +15,6 @@ standard per-item precision weights in the M-step.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,6 +32,7 @@ from .mixtures import (
     _normalize,
     _regularize,
     _regularize_diagonal,
+    _write_csv,
     regularize_scatter,
     save_mixture_json,
     validate_data,
@@ -365,8 +365,9 @@ def _factor_runs(scatters: np.ndarray, runs: list[_Run]):
     return chols, log_dets
 
 
-def _known_factors(cfg: EmConfig, q: int):
-    """Check the known weights and covariances against ``q``, once per fit.
+def _known_factors(cfg: EmConfig, q: int, d: int):
+    """Check the known weights and covariances against ``q`` and the data's
+    dimension ``d``, once per fit.
 
     Returns the known covariances regularized and factored, or ``None`` when
     covariances are estimated.
@@ -377,6 +378,8 @@ def _known_factors(cfg: EmConfig, q: int):
         return None
     if len(cfg.known_covariances) != q:
         raise ValueError(f"known_covariances must hold q={q} matrices")
+    if any(np.shape(c) != (d, d) for c in cfg.known_covariances):
+        raise ValueError(f"known_covariances must be {d}x{d}, the data's dimension")
     scatters = np.stack([regularize_scatter(c) for c in cfg.known_covariances])
     return (scatters, *_factorize(scatters))
 
@@ -504,7 +507,7 @@ def fit_mixture(
     if x.shape[0] < q:
         raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
     streams = np.random.default_rng(rng).spawn(cfg.n_starts)
-    best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q), streams))
+    best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q, x.shape[1]), streams))
     return FitResult(
         params=_to_params(best.theta, _dof(cfg), cfg.structure),
         loglik_trace=np.asarray(best.trace, dtype=float),
@@ -528,7 +531,7 @@ def em_steps(
     dof = params.components[0].dof
     run = _Run(rng)
     _iterate(x, _theta(params), dof, replace(cfg, max_iter=n_iter, rel_tol=None),
-             _known_factors(cfg, params.q), [run])
+             _known_factors(cfg, params.q, x.shape[1]), [run])
     return _to_params(_best([run]).theta, dof, cfg.structure)
 
 
@@ -536,8 +539,4 @@ def save_fit(result: FitResult, params_path, trace_path=None) -> None:
     """Write fitted parameters as JSON and, optionally, the trace as CSV."""
     save_mixture_json(result.params, params_path)
     if trace_path is not None:
-        with open(trace_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "loglik"])
-            for i, v in enumerate(result.loglik_trace):
-                writer.writerow([i, repr(float(v))])
+        _write_csv(trace_path, ["iteration", "loglik"], enumerate(result.loglik_trace))

@@ -9,7 +9,6 @@ above that, scoring takes the assignment-solver route too.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -21,6 +20,7 @@ from scipy.special import ndtr
 from .mixtures import (
     GAUSSIAN,
     MixtureParams,
+    _write_csv,
     posterior_matrix,
     sample_mixture,
 )
@@ -60,9 +60,10 @@ class OracleCurve:
     ``t_star`` is the largest threshold keeping that conditional mean at or
     below the requested level, to within 1e-3, found by bisection on the one
     frozen sample.  ``t_star`` is 1.0 for a level at or above ``alpha_bar``,
-    the unconditional mean risk, and NaN for a level at or below the
-    smallest sampled risk, which no threshold can serve.  ``alpha_c`` and
-    ``alpha_bar`` are the endpoints of the level range the curve can serve.
+    the unconditional mean risk, and NaN for a level at or below
+    ``alpha_c``, the smallest sampled risk, which no threshold can serve.
+    ``alpha_c`` and ``alpha_bar`` are the endpoints of the level range the
+    curve can serve.
     """
 
     t_grid: np.ndarray
@@ -212,11 +213,10 @@ def oracle_curve(
         if k > 1:
             ses[j] = float(values[:k].std(ddof=1) / math.sqrt(k))
     alpha_bar = float(values.mean())
-    positive = mfcr[mfcr > 0.0]
-    alpha_c = float(positive.min()) if positive.size else 0.0
+    alpha_c = float(values[0])
     if alpha >= alpha_bar:
         t_star = 1.0
-    elif alpha <= values[0]:
+    elif alpha <= alpha_c:
         t_star = float("nan")
     else:
         t_star = _bisect_threshold(values, csum, alpha)
@@ -271,8 +271,6 @@ def gaussian_t_tail(theta: MixtureParams, theta_star: MixtureParams, t: float) -
 
 def write_oracle_curve_csv(curve: OracleCurve, path) -> None:
     """CSV of the curve with one (estimate, standard error) pair per row."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mfcr", "se", "mc_size"])
-        for t, v, s in zip(curve.t_grid, curve.mfcr_values, curve.mfcr_ses):
-            writer.writerow([repr(float(t)), repr(float(v)), repr(float(s)), curve.mc_size])
+    _write_csv(path, ["t", "mfcr", "se", "mc_size"], zip(
+        curve.t_grid, curve.mfcr_values, curve.mfcr_ses, itertools.repeat(curve.mc_size)
+    ))

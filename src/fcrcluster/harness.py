@@ -10,7 +10,6 @@ estimation, selection, or calibration.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import logging
@@ -35,6 +34,7 @@ from .mixtures import (
     ComponentParams,
     MixtureParams,
     _read_csv,
+    _write_csv,
     load_data_csv,
     mixture_from_json,
     mixture_to_json,
@@ -52,7 +52,8 @@ SWEEP_KINDS = ("epsilon", "n", "alpha")
 
 @dataclass
 class TruthSpec:
-    """Generating truth: either an explicit mixture or a separation family.
+    """Generating truth: the explicit mixture ``params`` when given, else the
+    separation family.
 
     The separation family places Q unit-covariance Gaussians: component 0 at
     the origin, component 1 at ``(eps/sqrt(d), ..., eps/sqrt(d))`` (so the
@@ -60,16 +61,13 @@ class TruthSpec:
     ``(0, sqrt(eps), 0, ...)``.
     """
 
-    family: str = "gaussian_separation"  # or "fixed"
     q: int = 2
     d: int = 2
     epsilon: float | None = None
     params: MixtureParams | None = None
 
     def truth_for(self, epsilon: float | None = None) -> MixtureParams:
-        if self.family == "fixed":
-            if self.params is None:
-                raise ValueError("fixed truth requires explicit params")
+        if self.params is not None:
             return self.params
         eps = self.epsilon if epsilon is None else float(epsilon)
         if eps is None:
@@ -128,6 +126,9 @@ class ScenarioConfig:
         if self.sweep_kind != "epsilon":
             # resolving the truth must work without a sweep-supplied epsilon
             self.generator.truth_for(None)
+        if self.boot.mode != BootstrapConfig.mode:
+            raise ValueError("boot.mode is not a scenario setting: the procedures"
+                             " boot_param and boot_nonparam choose the mode")
         self.boot.validate()
 
 
@@ -228,6 +229,27 @@ def _em_with_known(em_cfg: EmConfig, truth: MixtureParams) -> EmConfig:
     return cfg
 
 
+# the procedures that share one fit, by selection rule or bootstrap mode;
+# they run, draw from the generator and are listed in this order
+_RULES = {"plugin": "cumulative", "fixed": "fixed"}
+_MODES = {"boot_param": "parametric", "boot_nonparam": "nonparametric"}
+
+
+def _fitted(x, q, alpha, procedures, em_cfg, boot_cfg, rng) -> dict[str, SelectiveClustering]:
+    """The requested procedures that share one EM fit of ``x``, by name."""
+    if not set(procedures) & {*_RULES, *_MODES}:
+        return {}
+    fit = fit_mixture(x, q, em_cfg, rng)
+    post = posterior_matrix(fit.params, x)
+    out = {p: select_and_label(post, alpha, r) for p, r in _RULES.items() if p in procedures}
+    for proc, mode in _MODES.items():
+        if proc in procedures:
+            cfg = replace(boot_cfg, mode=mode)
+            curve = calibrate_level(x, fit.params, alpha, cfg, em_cfg, rng)
+            out[proc] = clustering_at_calibrated_level(fit.params, x, alpha, curve)
+    return out
+
+
 def run_replication(
     data,
     truth: MixtureParams,
@@ -248,22 +270,8 @@ def run_replication(
     out: dict[str, SelectiveClustering] = {}
     if "oracle" in procedures:
         out["oracle"] = select_and_label(posterior_matrix(truth, x), alpha, "cumulative")
-    needs_fit = [p for p in procedures if p != "oracle"]
-    if not needs_fit:
-        return out
     em_cfg = _em_with_known(em_cfg, truth)
-    fit = fit_mixture(x, truth.q, em_cfg, rng)
-    post_hat = posterior_matrix(fit.params, x)
-    if "plugin" in procedures:
-        out["plugin"] = select_and_label(post_hat, alpha, "cumulative")
-    if "fixed" in procedures:
-        out["fixed"] = select_and_label(post_hat, alpha, "fixed")
-    for proc, mode in (("boot_param", "parametric"), ("boot_nonparam", "nonparametric")):
-        if proc not in procedures:
-            continue
-        cfg = replace(boot_cfg, mode=mode)
-        curve = calibrate_level(x, fit.params, alpha, cfg, em_cfg, rng)
-        out[proc] = clustering_at_calibrated_level(fit.params, x, alpha, curve)
+    out.update(_fitted(x, truth.q, alpha, procedures, em_cfg, boot_cfg, rng))
     return out
 
 
@@ -347,11 +355,13 @@ def run_real_data(
 
     Defaults follow the heavy-tail workflow: a Student-t mixture with fixed
     dof 4 and an unconstrained scatter, calibrated by parametric bootstrap.
+    ``procedure`` sets the bootstrap mode (``boot_param`` parametric,
+    ``boot_nonparam`` nonparametric) whatever ``boot_cfg.mode`` says.
     The fit and the calibration draw from ``default_rng(seed)``.
     Ground-truth labels never feed the fit; they are read separately and
     only compared against the output.
     """
-    if procedure not in PROCEDURES or procedure == "oracle":  # the oracle needs the truth
+    if procedure not in _RULES and procedure not in _MODES:  # the oracle needs the truth
         raise ValueError(f"unsupported real-data procedure {procedure!r}")
     x = load_data_csv(csv_path, columns)
     truth_labels = None
@@ -362,20 +372,10 @@ def run_real_data(
     if x.shape[0] < q:
         raise ValueError(f"{csv_path}: fewer rows ({x.shape[0]}) than clusters ({q})")
 
-    em_cfg = em_cfg or EmConfig(family="student")
-    boot_cfg = boot_cfg or BootstrapConfig()
-    rng = np.random.default_rng(seed)
-    fit = fit_mixture(x, q, em_cfg, rng)
-    post = posterior_matrix(fit.params, x)
-    if procedure == "plugin":
-        sc = select_and_label(post, alpha, "cumulative")
-    elif procedure == "fixed":
-        sc = select_and_label(post, alpha, "fixed")
-    else:
-        mode = "parametric" if procedure == "boot_param" else "nonparametric"
-        cfg = replace(boot_cfg, mode=mode)
-        curve = calibrate_level(x, fit.params, alpha, cfg, em_cfg, rng)
-        sc = clustering_at_calibrated_level(fit.params, x, alpha, curve)
+    sc = _fitted(
+        x, q, alpha, (procedure,), em_cfg or EmConfig(family="student"),
+        boot_cfg or BootstrapConfig(), np.random.default_rng(seed),
+    )[procedure]
 
     report = None
     if truth_labels is not None:
@@ -386,10 +386,6 @@ def run_real_data(
 
 
 # --- output emission ---------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
 
 def _em_to_json(em: EmConfig) -> dict:
     return {
@@ -414,8 +410,11 @@ def _em_from_json(obj: dict) -> EmConfig:
 
 
 def scenario_to_json(config: ScenarioConfig) -> dict:
+    """The JSON form of a scenario.  ``generator.family`` follows from
+    ``generator.params``, and ``boot.mode`` is the default: the procedures
+    choose the bootstrap mode."""
     gen = {
-        "family": config.generator.family,
+        "family": _family(config.generator.params),
         "q": config.generator.q,
         "d": config.generator.d,
         "epsilon": config.generator.epsilon,
@@ -446,13 +445,24 @@ def scenario_to_json(config: ScenarioConfig) -> dict:
     }
 
 
+def _family(params: MixtureParams | None) -> str:
+    """The generator family a scenario's JSON names: it follows from ``params``."""
+    return "gaussian_separation" if params is None else "fixed"
+
+
 def scenario_from_json(obj: dict) -> ScenarioConfig:
     gen = obj["generator"]
-    if "params" in gen and gen["params"] is not None:
-        spec = TruthSpec(family="fixed", params=mixture_from_json(gen["params"]))
+    params = gen.get("params")
+    family = _family(params)
+    if gen.get("family", family) != family:
+        raise ValueError(
+            f"generator family {gen['family']!r}: it is 'fixed' exactly when"
+            " params are given, else 'gaussian_separation'"
+        )
+    if params is not None:
+        spec = TruthSpec(params=mixture_from_json(params))
     else:
         spec = TruthSpec(
-            family=gen.get("family", TruthSpec.family),
             q=int(gen.get("q", TruthSpec.q)),
             d=int(gen.get("d", TruthSpec.d)),
             epsilon=gen.get("epsilon"),
@@ -496,56 +506,33 @@ def emit_outputs(result: SweepResult, out_dir) -> list[Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
-    written: list[Path] = []
-
-    results_path = out / "results.csv"
-    with open(results_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["scenario", "procedure", "sweep_value", "metric", "mean", "se"])
-        for cell in result.cells:
-            writer.writerow(
-                [cfg.name, cell.procedure, _fmt(cell.sweep_value), "fcr",
-                 _fmt(cell.mean_fcr), _fmt(cell.se_fcr)]
-            )
-            writer.writerow(
-                [cfg.name, cell.procedure, _fmt(cell.sweep_value),
-                 "selection_frequency", _fmt(cell.mean_selection), _fmt(cell.se_selection)]
-            )
-    written.append(results_path)
-
-    details_path = out / "details.csv"
-    with open(details_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scenario", "sweep_value", "rep", "procedure", "fcr",
-             "selection_frequency", "n_selected"]
-        )
-        for d in result.details:
-            writer.writerow(
-                [cfg.name, _fmt(d.sweep_value), d.rep, d.procedure, _fmt(d.fcr),
-                 _fmt(d.selection_frequency), d.n_selected]
-            )
-    written.append(details_path)
+    written = [out / "results.csv", out / "details.csv"]
+    _write_csv(written[0], ["scenario", "procedure", "sweep_value", "metric", "mean", "se"], (
+        [cfg.name, c.procedure, c.sweep_value, metric, mean, se]
+        for c in result.cells
+        for metric, mean, se in (("fcr", c.mean_fcr, c.se_fcr),
+                                 ("selection_frequency", c.mean_selection, c.se_selection))
+    ))
+    _write_csv(written[1], ["scenario", "sweep_value", "rep", "procedure", "fcr",
+                            "selection_frequency", "n_selected"], (
+        [cfg.name, d.sweep_value, d.rep, d.procedure, d.fcr, d.selection_frequency,
+         d.n_selected]
+        for d in result.details
+    ))
 
     if result.cells:
         xs = sorted({c.sweep_value for c in result.cells})
         procs = [p for p in cfg.procedures if any(c.procedure == p for c in result.cells)]
         by_key = {(c.procedure, c.sweep_value): c for c in result.cells}
-        fcr_series = {
-            p: [by_key[(p, v)].mean_fcr if (p, v) in by_key else float("nan") for v in xs]
-            for p in procs
-        }
-        sel_series = {
-            p: [
-                by_key[(p, v)].mean_selection if (p, v) in by_key else float("nan")
-                for v in xs
-            ]
-            for p in procs
-        }
+
+        def series(metric: str) -> dict[str, list[float]]:
+            return {p: [getattr(by_key[p, v], metric) if (p, v) in by_key else math.nan
+                        for v in xs] for p in procs}
+
         svg = _svg.sweep_chart(
             xs,
-            fcr_series,
-            sel_series,
+            series("mean_fcr"),
+            series("mean_selection"),
             xlabel=cfg.sweep_kind,
             alpha=cfg.alpha,
             alpha_is_x=cfg.sweep_kind == "alpha",

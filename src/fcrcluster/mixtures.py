@@ -256,6 +256,8 @@ def _mahalanobis(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
     without the wrapper's cost.  ``diff`` is overwritten.
     """
     z, info = lapack.dtrtrs(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"triangular solve: illegal value in argument {-info}")
     if info > 0:
         raise np.linalg.LinAlgError(
             f"singular matrix: resolution failed at diagonal {info - 1}"
@@ -530,11 +532,19 @@ def save_data_csv(data, path, columns: list[str] | None = None) -> None:
         columns = [f"x{j + 1}" for j in range(x.shape[1])]
     if len(columns) != x.shape[1]:
         raise ValueError("number of column names must match data dimension")
+    _write_csv(path, columns, x.tolist())
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write a headered CSV: every float as ``repr(float(v))``, which reads
+    back bit for bit (numpy 2 reprs an np.float64 as ``np.float64(...)``),
+    and every other cell as ``csv`` writes it."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])
+        writer.writerow(header)
+        writer.writerows(
+            [repr(float(v)) if isinstance(v, float) else v for v in row] for row in rows
+        )
 
 
 def _read_csv(path, columns: list[str] | None, convert) -> tuple[int, list[list]]:

@@ -10,12 +10,11 @@ Two rules over the per-item MAP risk values ``T``:
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mixtures import PosteriorMatrix, map_labels
+from .mixtures import PosteriorMatrix, _write_csv, map_labels
 
 RULES = ("cumulative", "fixed")
 
@@ -151,10 +150,7 @@ def write_clustering_csv(clustering: SelectiveClustering, path) -> None:
     """CSV with columns item_index, map_label, selected, t_value."""
     chosen = np.zeros(clustering.labels.size, dtype=int)
     chosen[clustering.selection.selected] = 1
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["item_index", "map_label", "selected", "t_value"])
-        for i in range(clustering.labels.size):
-            writer.writerow(
-                [i, int(clustering.labels[i]), int(chosen[i]), repr(float(clustering.t_values[i]))]
-            )
+    _write_csv(path, ["item_index", "map_label", "selected", "t_value"], zip(
+        range(chosen.size), clustering.labels.tolist(), chosen.tolist(),
+        clustering.t_values.tolist(),
+    ))

@@ -116,6 +116,28 @@ def test_simulate_config_file(tmp_path):
     assert len(rows) == 1 + 2 * 2 * 2  # two procedures x two sweep points x two metrics
 
 
+def test_simulate_reports_failed_replications(tmp_path, capsys):
+    # a one-row sample cannot be fitted with q=2: both n=1 replications fail,
+    # the n=40 ones run, and simulate exits 1
+    scenario = {
+        "name": "failing", "generator": {"q": 2, "d": 2, "epsilon": 2.0},
+        "n": 40, "reps": 2, "procedures": ["plugin", "fixed"],
+        "sweep": {"kind": "n", "values": [1, 40]}, "alpha": 0.1,
+        "em": {"structure": "diagonal", "n_starts": 2}, "seed": 3,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "out"
+    rc = main(["simulate", "--scenario", str(path), "--out", str(out_dir)])
+    assert rc == 1
+    assert "warning: 2 replications failed" in capsys.readouterr().err
+    failed = json.loads((out_dir / "manifest.json").read_text())["failed_replications"]
+    assert [f.split(":")[0] for f in failed] == ["sweep value 1.0, rep 0",
+                                                 "sweep value 1.0, rep 1"]
+    rows = (out_dir / "results.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 * 2 and {r.split(",")[2] for r in rows} == {"40.0"}
+
+
 def test_parser_defaults_are_the_config_defaults():
     parser = build_parser()
     fit = parser.parse_args(["fit", "--data", "d.csv", "--q", "2", "--out", "p.json"])

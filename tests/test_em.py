@@ -74,7 +74,7 @@ def test_winning_run_keeps_the_posterior_of_the_fit(structure, family):
     for data in (x, np.vstack([np.repeat(x[:3], 15, axis=0), x[:12]])):
         fit = fc.fit_mixture(data, 2, cfg, np.random.default_rng(17))
         streams = np.random.default_rng(17).spawn(cfg.n_starts)
-        runs = fc.em._fit_runs(data, 2, cfg, fc.em._known_factors(cfg, 2), streams)
+        runs = fc.em._fit_runs(data, 2, cfg, fc.em._known_factors(cfg, 2, data.shape[1]), streams)
         probs = fc.em._best(runs).probs
         post = fc.posterior_matrix(fit.params, data)
         assert np.array_equal(fc.mixtures._t_values(probs), post.t_values)
@@ -276,6 +276,23 @@ class TestGaussianEm:
                 fc.fit_mixture(x, 2, cfg, np.random.default_rng(1))
             with pytest.raises(ValueError):
                 fc.em_steps(x, fit.params, cfg, 2, np.random.default_rng(1))
+
+    def test_known_covariances_checked_against_the_data_dimension(self, capfd):
+        # 3x3 known covariances on 2-column data used to reach LAPACK, which
+        # printed an illegal-argument line per solve before a late failure
+        x = blobs(np.random.default_rng(17), [(0.0, 0.0), (4.0, 0.0)], 30)
+        fit = fc.fit_mixture(x, 2, EmConfig(n_starts=1), np.random.default_rng(0))
+        cfg = EmConfig(structure="known", known_covariances=(np.eye(3), np.eye(3)))
+        for call in (
+            lambda: fc.fit_mixture(x, 2, cfg, np.random.default_rng(1)),
+            lambda: fc.em_steps(x, fit.params, cfg, 2, np.random.default_rng(1)),
+            lambda: fc.calibrate_level(x, fit.params, 0.1, fc.BootstrapConfig(b=2), cfg,
+                                       np.random.default_rng(1)),
+        ):
+            with pytest.raises(ValueError, match="known_covariances must be 2x2"):
+                call()
+        printed = capfd.readouterr()
+        assert "DTRTRS" not in printed.out + printed.err
 
     @pytest.mark.parametrize("structure", ["full", "diagonal"])
     def test_em_steps_checks_the_data_width(self, structure):

@@ -206,6 +206,18 @@ class TestTStar:
         assert math.isnan(curve.t_star)
         assert curve.alpha_c > 1e-9
 
+    def test_alpha_c_is_where_t_star_ends(self):
+        # alpha_c is the smallest sampled risk: t_star is NaN at it and
+        # finite just above it, on the same frozen sample
+        truth = symmetric_pair(eps=1.0)
+        alpha_c = fc.oracle_curve(truth, 0.1, 50_000, np.random.default_rng(1)).alpha_c
+        at = fc.oracle_curve(truth, alpha_c, 50_000, np.random.default_rng(1))
+        above = fc.oracle_curve(truth, np.nextafter(alpha_c, 1.0), 50_000,
+                                np.random.default_rng(1))
+        assert at.alpha_c == above.alpha_c == alpha_c > 0.0
+        assert math.isnan(at.t_star)
+        assert math.isfinite(above.t_star) and 0.0 < above.t_star < 1.0
+
     def test_bracketing(self):
         # on the one frozen sample the curve is exactly non-decreasing, and
         # the bisection places t_star to within 1e-3: every grid point below

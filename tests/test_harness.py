@@ -84,6 +84,36 @@ class TestBuiltinScenarios:
             sweep_values=(1.0,), alpha=0.1,
         )
 
+    def test_json_keeps_a_warm_start_refit(self):
+        # the form the benchmark's scenario writes
+        cfg = fc.get_scenario("diagonal")
+        j = scenario_to_json(replace(cfg, boot=replace(cfg.boot, refit=WarmStart(10))))
+        assert j["boot"]["refit"] == {"warm_start": 10}
+        again = scenario_from_json(j)
+        assert again.boot.refit == WarmStart(10)
+        assert scenario_to_json(again) == j
+
+    def test_json_generator_family_follows_from_params(self):
+        truth = fc.gaussian_separation_truth(2, 2, 1.0)
+        assert fc.TruthSpec(params=truth, epsilon=2.0).truth_for(4.0) is truth
+        base = {"name": "m", "n": 50, "reps": 1,
+                "sweep": {"kind": "alpha", "values": [0.1]}, "alpha": 0.1}
+        params = {"params": fc.mixture_to_json(truth)}
+        for gen, family in (({"epsilon": 1.0}, "gaussian_separation"), (params, "fixed")):
+            for named in (gen, {**gen, "family": family}):
+                cfg = scenario_from_json({**base, "generator": named})
+                assert scenario_to_json(cfg)["generator"]["family"] == family
+        for gen in ({"family": "bogus", "epsilon": 1.0}, {"family": "fixed"},
+                    {**params, "family": "gaussian_separation"}):
+            with pytest.raises(ValueError, match="generator family"):
+                scenario_from_json({**base, "generator": gen})
+
+    def test_boot_mode_is_chosen_by_the_procedures(self):
+        cfg = fc.get_scenario("diagonal")
+        cfg.boot = replace(cfg.boot, mode="nonparametric")
+        with pytest.raises(ValueError, match="boot_param and boot_nonparam choose the mode"):
+            cfg.validate()
+
     def test_json_keeps_the_refit_em_config(self):
         cfg = fc.get_scenario("diagonal")
         refit_em = fc.EmConfig(structure="diagonal", n_starts=1, max_iter=30)
@@ -306,6 +336,20 @@ class TestRealData:
         path.write_text("a\n1.0\n")
         with pytest.raises(ValueError, match="fewer rows"):
             fc.run_real_data(path, ["a"], q=2, alpha=0.1)
+
+    @pytest.mark.parametrize("procedure", ["plugin", "fixed", "boot_param", "boot_nonparam"])
+    def test_selection_is_the_replication_selection(self, labelled_csv, procedure):
+        path, _ = labelled_csv
+        em = fc.EmConfig(structure="diagonal", n_starts=2)
+        boot = fc.BootstrapConfig(b=8, refit=WarmStart(3))
+        sc, _ = fc.run_real_data(path, ["radius", "texture"], q=2, alpha=0.1, em_cfg=em,
+                                 boot_cfg=boot, procedure=procedure, seed=5)
+        x = fc.load_data_csv(path, ["radius", "texture"])
+        ref = fc.run_replication(x, fc.gaussian_separation_truth(2, 2, 1.0), 0.1,
+                                 (procedure,), em, boot, np.random.default_rng(5))[procedure]
+        np.testing.assert_array_equal(sc.labels, ref.labels)
+        np.testing.assert_array_equal(sc.selection.selected, ref.selection.selected)
+        assert sc.selection.threshold == ref.selection.threshold
 
     def test_student_family_used_by_default(self, labelled_csv):
         path, _ = labelled_csv

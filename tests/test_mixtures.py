@@ -16,6 +16,7 @@ from fcrcluster.mixtures import (
     _normalize,
     _regularize,
     _regularize_diagonal,
+    _write_csv,
     log_density_rows,
     regularize_scatter,
 )
@@ -322,6 +323,15 @@ class TestDataCsv:
         sub = fc.load_data_csv(path, columns=["c", "a"])
         np.testing.assert_array_equal(sub, x[:, [2, 0]])
 
+    def test_writer_cells(self, tmp_path):
+        # numpy 2 reprs an np.float64 as "np.float64(...)": every float cell
+        # is written as the repr of a plain float, which reads back bit for bit
+        path = tmp_path / "cells.csv"
+        third = np.float64(1.0) / 3.0
+        _write_csv(path, ["f", "g", "i", "s"], [[third, 0.1, np.int64(7), "a,b"]])
+        assert path.read_text().splitlines() == ["f,g,i,s", f'{float(third)!r},0.1,7,"a,b"']
+        assert fc.load_data_csv(path, ["f"])[0, 0] == third
+
     def test_missing_column(self, tmp_path):
         path = tmp_path / "data.csv"
         fc.save_data_csv(np.ones((2, 2)), path)
@@ -448,6 +458,12 @@ def test_kernel_is_chosen_by_the_factors(monkeypatch):
     mahal = np.empty((4, 3, 50))
     _log_weighted(x, log_w, means, chols, log_dets, (None,) * 3, mahal)
     assert np.array_equal(mahal, triangular_solves(x, means, chols))
+
+
+def test_triangular_solve_rejects_an_illegal_argument():
+    # a factor wider than the rows: LAPACK flags an argument with info < 0
+    with pytest.raises(ValueError, match="illegal value in argument 9"):
+        _mahalanobis(np.eye(3), np.ones((5, 2)))
 
 
 @pytest.mark.parametrize("diagonal", [True, False])
