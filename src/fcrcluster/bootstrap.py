@@ -16,25 +16,18 @@ done one resample at a time.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .em import (
-    EmConfig,
-    _best,
-    _fit_runs,
-    _iterate,
-    _known_factors,
-    _Run,
-    _theta,
-    fit_mixture,
-)
+from .em import EmConfig, _best, _fit_runs, _known_factors, _warm_run, fit_mixture
 from .mixtures import (
     MixtureParams,
+    PosteriorMatrix,
     _map_rows,
     _t_values,
+    _theta,
     _write_csv,
     map_labels,
     posterior_matrix,
@@ -190,14 +183,14 @@ def _refit_probs(runs):
 
 
 def _warm_refits(draw, theta_hat, cfg, em_cfg, known, rng):
-    """Warm-start refits, one resample at a time: their reinit draws share ``rng``."""
-    warm_cfg = replace(em_cfg, max_iter=cfg.refit.iters, rel_tol=None)
+    """Warm-start refits, one resample at a time: their reinit draws share
+    ``rng``.  With no iterations the original fit stands in."""
+    iters = cfg.refit.iters
     theta, dof = _theta(theta_hat), theta_hat.components[0].dof
     for _ in range(cfg.b):
-        xb, run = draw(), _Run(rng)
-        if cfg.refit.iters:  # else the run keeps no probs: the original fit stands in
-            _iterate(xb, theta, dof, warm_cfg, known, [run])
-        yield xb, _refit_probs([run])
+        xb = draw()
+        yield xb, (_refit_probs([_warm_run(xb, theta, dof, em_cfg, iters, known, rng)])
+                   if iters else None)
 
 
 def _full_refits(draw, shape, q, cfg, refit_cfg, known, rng):
@@ -307,7 +300,13 @@ def clustering_at_calibrated_level(
 ) -> SelectiveClustering:
     """Plug-in selection at the calibrated grid level of ``curve``: the
     cumulative rule at that level, or nothing when no level is admissible."""
-    post = posterior_matrix(theta_hat, data)
+    return _calibrated_selection(posterior_matrix(theta_hat, data), alpha, curve)
+
+
+def _calibrated_selection(
+    post: PosteriorMatrix, alpha: float, curve: BootstrapCurve
+) -> SelectiveClustering:
+    """``clustering_at_calibrated_level`` from the fit's posterior on the data."""
     selection = (
         empty_selection(post.t_values)
         if curve.chosen_index is None

@@ -26,7 +26,7 @@ from .bootstrap import (
     write_curve_csv,
 )
 from .em import FAMILIES, EmConfig, fit_mixture, save_fit
-from .evaluation import oracle_curve, write_oracle_curve_csv
+from .evaluation import _MC_SIZE, oracle_curve, write_oracle_curve_csv
 from .harness import (
     emit_outputs,
     get_scenario,
@@ -98,7 +98,7 @@ def _add_oracle_curve(sub):
     p = sub.add_parser("oracle-curve", help="Monte-Carlo selective-risk curve")
     p.add_argument("--params", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--mc-size", type=int, default=1_000_000)
+    p.add_argument("--mc-size", type=int, default=_MC_SIZE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="optional output CSV path")
 

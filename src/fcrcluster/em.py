@@ -32,6 +32,7 @@ from .mixtures import (
     _normalize,
     _regularize,
     _regularize_diagonal,
+    _theta,
     _write_csv,
     regularize_scatter,
     save_mixture_json,
@@ -162,7 +163,8 @@ def _pooled(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
 # The EM iterate is a stack of R independent runs: a tuple (weights, means,
 # scatters, chols, log_dets) with shapes (R, Q), (R, Q, d), (R, Q, d, d),
 # (R, Q, d, d), (R, Q), plus one dof shared by the runs (None for Gaussian).
-# The data are shared, (n, d), or per run, (R, n, d); the per-item arrays
+# The data are each run's rows, (R, n, d): a zero-stride view of one (n, d)
+# array when the runs share them, as the starts of a fit do.  The per-item arrays
 # (responsibilities, Mahalanobis distances) are component-major, (R, Q, n),
 # so elementwise work and reductions over components run over whole rows.
 # Each step makes one pass of numpy calls for the whole stack: elementwise
@@ -189,17 +191,6 @@ class _Run:
 
 def _dof(cfg: EmConfig) -> float | None:
     return float(cfg.dof) if cfg.family == "student" else None
-
-
-def _rows(x: np.ndarray, r: int) -> np.ndarray:
-    return x if x.ndim == 2 else x[r]
-
-
-def _theta(params: MixtureParams):
-    comps = params.components
-    scatters = np.stack([c.scatter for c in comps])[None]
-    means = np.stack([c.mean for c in comps])[None]
-    return (params.weights[None], means, scatters, *_factorize(scatters))
 
 
 def _to_params(theta, dof: float | None, structure: str) -> MixtureParams:
@@ -266,9 +257,8 @@ def _m_step(
         # the scatters are carried as their diagonals until they are factored
         var = np.empty((n_runs, qn, d))
         dj, wdj = np.empty_like(w), np.empty_like(w)
-        xt = x.T if x.ndim == 2 else x.transpose(0, 2, 1)
         for j in range(d):
-            np.subtract(xt[..., j, None, :], means[..., j, None], out=dj)
+            np.subtract(x[:, None, :, j], means[..., j, None], out=dj)
             np.multiply(w, dj, out=wdj)
             var[..., j] = np.einsum("...i,...i->...", wdj, dj)
         var /= np.where(ok, mass, 1.0)[..., None]
@@ -278,7 +268,7 @@ def _m_step(
         ok &= fail == 0
     else:
         # one (d, n) @ (n, d) product per run and component, as one matmul
-        diff = (x if x.ndim == 2 else x[:, None]) - means[:, :, None, :]
+        diff = x[:, None] - means[:, :, None, :]
         covs = np.matmul((w[..., None] * diff).swapaxes(-1, -2), diff)
         covs /= np.where(ok, mass, 1.0)[..., None, None]
         del diff
@@ -289,12 +279,11 @@ def _m_step(
     while redo is not None:
         if redo.any():
             for r in np.flatnonzero(redo.any(axis=1)):
-                xr = _rows(x, r)
                 for q in np.flatnonzero(redo[r]):
-                    means[r, q] = xr[int(runs[r].rng.integers(n))]
+                    means[r, q] = x[r, int(runs[r].rng.integers(n))]
                     if known is None:
                         scatter = regularize_scatter(
-                            _project_cov(_safe_cov(xr), cfg.structure)
+                            _project_cov(_safe_cov(x[r]), cfg.structure)
                         )
                         scatters[r, q] = np.diagonal(scatter) if diagonal else scatter
                 runs[r].n_reinits += int(redo[r].sum())
@@ -334,7 +323,7 @@ def _duplicates(x, means: np.ndarray, scatters: np.ndarray, runs: list[_Run]):
     same[r, j, i] = (scatters[r, j] == scatters[r, i]).all(axis=cov_axes)
     dup = same.any(axis=2)
     for r in np.flatnonzero(dup.any(axis=1)):
-        if runs[r].error is None and len(np.unique(_rows(x, r), axis=0)) < qn:
+        if runs[r].error is None and len(np.unique(x[r], axis=0)) < qn:
             runs[r].error = ValueError(f"need at least q={qn} distinct rows")
         dup[r] &= runs[r].error is None
     return dup if dup.any() else None
@@ -396,11 +385,12 @@ def _iterate(x, theta, dof, cfg: EmConfig, known, runs: list[_Run]):
     with its error.
     """
     live = list(runs)
+    x = np.broadcast_to(x, (len(runs), *x.shape[-2:]))
 
     def leave(stop, *stacks):
         nonlocal x, live
         keep = ~stop
-        x = x if x.ndim == 2 else x[keep]
+        x = x[keep]
         live = [run for run, k in zip(live, keep) if k]
         return [None if a is None else a[keep] for a in stacks]
 
@@ -439,15 +429,16 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
     at its start and does not iterate.
     """
     runs, starts = [_Run(s) for s in streams], []
-    for r, run in enumerate(runs):
+    x = np.broadcast_to(x, (len(runs), *x.shape[-2:]))
+    for run, xr in zip(runs, x):
         try:
-            starts.append(_kmeanspp(_rows(x, r), q, run.rng))
+            starts.append(_kmeanspp(xr, q, run.rng))
         except ValueError as exc:
             run.error = exc
     begun = [run for run in runs if run.error is None]
     if not begun:
         return runs
-    if x.ndim == 3 and len(begun) < len(runs):
+    if len(begun) < len(runs):
         x = x[[run.error is None for run in runs]]
     dof = _dof(cfg)
     centers = np.stack([c for c, _ in starts])
@@ -459,9 +450,8 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
     if dof is not None:
         if known is None:
             pooled = np.stack([
-                regularize_scatter(_project_cov(
-                    _pooled(_rows(x, r), centers[r], assign[r]), cfg.structure))
-                for r in range(len(begun))
+                regularize_scatter(_project_cov(_pooled(*start), cfg.structure))
+                for start in zip(x, centers, assign)
             ])
             chols, log_dets = (np.repeat(a[:, None], q, axis=1) for a in _factorize(pooled))
         else:
@@ -529,10 +519,16 @@ def em_steps(
     x = validate_data(data)
     _check_width(x, params.dim)
     dof = params.components[0].dof
-    run = _Run(rng)
-    _iterate(x, _theta(params), dof, replace(cfg, max_iter=n_iter, rel_tol=None),
-             _known_factors(cfg, params.q, x.shape[1]), [run])
+    known = _known_factors(cfg, params.q, x.shape[1])
+    run = _warm_run(x, _theta(params), dof, cfg, n_iter, known, rng)
     return _to_params(_best([run]).theta, dof, cfg.structure)
+
+
+def _warm_run(x, theta, dof, cfg: EmConfig, n_iter: int, known, rng) -> _Run:
+    """A warm start: one run of ``n_iter`` EM iterations from ``theta``, no early stop."""
+    run = _Run(rng)
+    _iterate(x, theta, dof, replace(cfg, max_iter=n_iter, rel_tol=None), known, [run])
+    return run
 
 
 def save_fit(result: FitResult, params_path, trace_path=None) -> None:

@@ -26,6 +26,7 @@ from .mixtures import (
 )
 
 MAX_EXHAUSTIVE_Q = 8
+_MC_SIZE = 1_000_000  # the default sample size of oracle_curve and of --mc-size
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +191,13 @@ def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float) -> f
 def oracle_curve(
     theta_star: MixtureParams,
     alpha: float,
-    mc_size: int = 1_000_000,
+    mc_size: int = _MC_SIZE,
     rng: np.random.Generator | None = None,
 ) -> OracleCurve:
     """Monte-Carlo selective-risk curve over 50 equally spaced thresholds up
-    to the largest possible risk, ``1 - 1/Q``."""
+    to the largest possible risk, ``1 - 1/Q``, from ``mc_size >= 1`` draws."""
+    if mc_size < 1:
+        raise ValueError(f"mc_size must be >= 1, got {mc_size}")
     if rng is None:
         rng = np.random.default_rng()
     t_grid = (1.0 - 1.0 / theta_star.q) * np.arange(1, 51) / 50

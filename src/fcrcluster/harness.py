@@ -25,8 +25,8 @@ from .bootstrap import (
     BootstrapConfig,
     FullRefit,
     WarmStart,
+    _calibrated_selection,
     calibrate_level,
-    clustering_at_calibrated_level,
 )
 from .em import EmConfig, fit_mixture
 from .evaluation import FcrReport, sample_fcr
@@ -246,7 +246,7 @@ def _fitted(x, q, alpha, procedures, em_cfg, boot_cfg, rng) -> dict[str, Selecti
         if proc in procedures:
             cfg = replace(boot_cfg, mode=mode)
             curve = calibrate_level(x, fit.params, alpha, cfg, em_cfg, rng)
-            out[proc] = clustering_at_calibrated_level(fit.params, x, alpha, curve)
+            out[proc] = _calibrated_selection(post, alpha, curve)
     return out
 
 
@@ -410,17 +410,18 @@ def _em_from_json(obj: dict) -> EmConfig:
 
 
 def scenario_to_json(config: ScenarioConfig) -> dict:
-    """The JSON form of a scenario.  ``generator.family`` follows from
-    ``generator.params``, and ``boot.mode`` is the default: the procedures
-    choose the bootstrap mode."""
+    """The JSON form of a scenario.  ``generator.family``, ``q`` and ``d``
+    follow from ``generator.params`` when it is given, and ``boot.mode`` is
+    the default: the procedures choose the bootstrap mode."""
+    spec, params = config.generator, config.generator.params
     gen = {
-        "family": _family(config.generator.params),
-        "q": config.generator.q,
-        "d": config.generator.d,
-        "epsilon": config.generator.epsilon,
+        "family": _family(params),
+        "q": spec.q if params is None else params.q,
+        "d": spec.d if params is None else params.dim,
+        "epsilon": spec.epsilon,
     }
-    if config.generator.params is not None:
-        gen["params"] = mixture_to_json(config.generator.params)
+    if params is not None:
+        gen["params"] = mixture_to_json(params)
     refit = config.boot.refit
     return {
         "name": config.name,

@@ -63,8 +63,7 @@ def _regularize(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_SCATTER_ERRORS`` of the first check it fails; a failed matrix comes
     back as the identity.
     """
-    d = s.shape[-1]
-    eye = np.eye(d)
+    eye = np.eye(s.shape[-1])
     fail = np.where(np.isfinite(s).all(axis=(-2, -1)), 0, 1)
     s = np.where(fail[..., None, None] == 0, s, eye)
     t = s.swapaxes(-1, -2)
@@ -72,17 +71,10 @@ def _regularize(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     asym = np.abs(s - t).max(axis=(-2, -1)) > 1e-8 * np.maximum(scale, 1.0)
     fail[(fail == 0) & asym] = 2
     sym = 0.5 * (s + t)
-    tr = np.trace(sym, axis1=-2, axis2=-1)
-    fail[(fail == 0) & (tr <= 0.0)] = 3
     evals, evecs = np.linalg.eigh(sym)
-    fail[(fail == 0) & (evals[..., 0] < -1e-8 * np.maximum(tr / d, 1.0))] = 3
-    floor = 1e-8 * tr / d
-    # a subnormal floor lifts nothing: the Cholesky factor would fail
-    fail[(fail == 0) & (floor < np.finfo(float).tiny)] = 3
-    fire = (fail == 0) & (evals[..., 0] < floor)
-    if fire.any():
+    fire, lam = _floor(evals, evals[..., 0], np.trace(sym, axis1=-2, axis2=-1), fail)
+    if lam is not None:
         v = evecs[fire]
-        lam = np.maximum(evals[fire], 2.0 * floor[fire][:, None])
         lifted = (v * lam[:, None, :]) @ v.swapaxes(-1, -2)
         sym[fire] = 0.5 * (lifted + lifted.swapaxes(-1, -2))
     sym[fail != 0] = eye
@@ -99,20 +91,31 @@ def _regularize_diagonal(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     matrix with a norm beyond about 1e146 and its eigenvalues come back an
     ulp off: the clamp keeps the diagonal exact.
     """
-    d = v.shape[-1]
     fail = np.where(np.isfinite(v).all(axis=-1), 0, 1)
     v = np.where(fail[..., None] == 0, v, 1.0)
-    tr = v.sum(axis=-1)
+    fire, lam = _floor(v, v.min(axis=-1), v.sum(axis=-1), fail)
+    if lam is not None:
+        v[fire] = lam
+    v[fail != 0] = 1.0
+    return v, fail
+
+
+def _floor(evals: np.ndarray, low: np.ndarray, tr: np.ndarray, fail: np.ndarray):
+    """The floor rule of both regularizers, on the eigenvalues (..., d), the
+    lowest eigenvalues and the traces of a stack: code 3 into ``fail`` for a
+    trace <= 0, a materially negative eigenvalue or a subnormal floor
+    ``1e-8 * trace / d`` (the Cholesky factor would fail); returns where the
+    floor fires and the eigenvalues there lifted to at least twice it
+    (``None`` when it fires nowhere)."""
+    d = evals.shape[-1]
     fail[(fail == 0) & (tr <= 0.0)] = 3
-    low = v.min(axis=-1)
     fail[(fail == 0) & (low < -1e-8 * np.maximum(tr / d, 1.0))] = 3
     floor = 1e-8 * tr / d
     fail[(fail == 0) & (floor < np.finfo(float).tiny)] = 3
     fire = (fail == 0) & (low < floor)
-    if fire.any():
-        v[fire] = np.maximum(v[fire], 2.0 * floor[fire][:, None])
-    v[fail != 0] = 1.0
-    return v, fail
+    if not fire.any():
+        return fire, None
+    return fire, np.maximum(evals[fire], 2.0 * floor[fire][:, None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,10 +278,9 @@ def _diagonal_mahalanobis(x, means, chols, out) -> None:
     squares runs in another order.
     """
     inv = 1.0 / np.diagonal(chols, axis1=-2, axis2=-1)
-    xt = x.T[:, None, None] if x.ndim == 2 else x.transpose(2, 0, 1)[:, :, None]
     u = np.empty_like(out)
     for j in range(x.shape[-1]):
-        np.subtract(xt[j], means[..., j, None], out=u)
+        np.subtract(x[:, None, :, j], means[..., j, None], out=u)
         u *= inv[..., j, None]
         if j == 0:
             np.multiply(u, u, out=out)
@@ -292,8 +294,9 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
 
     The one place a mixture log-density is computed, from plain arrays with a
     leading run axis: log-weights (R, Q), means (R, Q, d), lower Cholesky
-    factors (R, Q, d, d) and log-determinants (R, Q).  ``x`` is shared (n, d)
-    or per run (R, n, d); ``dofs[q]`` is ``None`` for a Gaussian component.
+    factors (R, Q, d, d) and log-determinants (R, Q); each run's rows ``x``
+    (R, n, d), or a zero-stride view of rows (n, d) the runs share; and
+    ``dofs[q]``, ``None`` for a Gaussian component.
     The squared Mahalanobis distances are stored in ``mahal`` when an
     (R, Q, n) array is given: elementwise when every factor is diagonal,
     else by one triangular solve per (run, component).  A distance that
@@ -302,6 +305,7 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
     """
     runs, qn = log_w.shape
     n, d = x.shape[-2:]
+    x = np.broadcast_to(x, (runs, n, d))
     if not np.isfinite(chols).all():
         raise ValueError(_NONFINITE)
     m = np.empty((runs, qn, n)) if mahal is None else mahal
@@ -311,12 +315,11 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
             _diagonal_mahalanobis(x, means, chols, m)
         else:
             for r in range(runs):
-                xr = x if x.ndim == 2 else x[r]
                 for q in range(qn):
-                    m[r, q] = _mahalanobis(chols[r, q], xr - means[r, q])
+                    m[r, q] = _mahalanobis(chols[r, q], x[r] - means[r, q])
         if not np.isfinite(m).all():  # from a non-finite difference, or a harmless overflow
             for r, q in zip(*np.nonzero(~np.isfinite(m).all(axis=2))):
-                if not np.isfinite((x if x.ndim == 2 else x[r]) - means[r, q]).all():
+                if not np.isfinite(x[r] - means[r, q]).all():
                     raise ValueError(_NONFINITE)
     # in place, in the distances' buffer when they are not kept:
     # log_w - 0.5 * ((d log 2pi + log_det) + m) for a Gaussian, and
@@ -410,15 +413,21 @@ def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix,
             probs=np.empty((0, params.q)), t_values=np.empty(0)
         )
         return empty, 0.0
-    comps = params.components
-    chols, log_dets = _factorize(np.stack([c.scatter for c in comps])[None])
+    weights, means, _, chols, log_dets = _theta(params)
     lw = _log_weighted(
-        x, np.log(params.weights)[None], np.stack([c.mean for c in comps])[None],
-        chols, log_dets, [c.dof for c in comps],
+        x, np.log(weights), means, chols, log_dets, [c.dof for c in params.components]
     )
     probs, loglik = _normalize(lw)
     probs = probs[0].T  # (n, Q), a view of the component-major array
     return PosteriorMatrix(probs=probs, t_values=_t_values(probs)), float(loglik[0])
+
+
+def _theta(params: MixtureParams):
+    """``params`` as a one-run stack ``(weights, means, scatters, chols, log_dets)``."""
+    comps = params.components
+    scatters = np.stack([c.scatter for c in comps])[None]
+    means = np.stack([c.mean for c in comps])[None]
+    return (params.weights[None], means, scatters, *_factorize(scatters))
 
 
 def _t_values(probs: np.ndarray) -> np.ndarray:

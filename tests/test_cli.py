@@ -85,6 +85,21 @@ def test_oracle_curve_command(tmp_path):
     assert out_csv.read_text().startswith("t,mfcr,se,mc_size")
 
 
+def test_oracle_curve_rejects_an_empty_sample(tmp_path, capsys):
+    # --mc-size 0 used to warn on the mean of an empty sample, then fail on
+    # its first element
+    params_path = tmp_path / "truth.json"
+    fc.save_mixture_json(fc.gaussian_separation_truth(2, 2, 2.0), params_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["oracle-curve", "--params", str(params_path), "--alpha", "0.1",
+                   "--mc-size", "0"])
+    assert rc == 1 and not caught
+    assert "error: mc_size must be >= 1, got 0" in capsys.readouterr().err
+    args = build_parser().parse_args(["oracle-curve", "--params", "p", "--alpha", "0.1"])
+    assert args.mc_size == inspect.signature(fc.oracle_curve).parameters["mc_size"].default
+
+
 def test_simulate_named_scenario(tmp_path):
     out_dir = tmp_path / "sim"
     rc = main(

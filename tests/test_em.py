@@ -194,6 +194,27 @@ class TestKmeansppInit:
         assert fc.em._project_cov(pooled, "full") is pooled
 
 
+def test_runs_read_their_rows_as_one_stack(monkeypatch):
+    # the starts of a fit read the caller's rows through one zero-stride
+    # view, with no copy, and a warm refit iterates a one-run stack
+    seen = []
+    e_step = fc.em._e_step
+
+    def spy(theta, dof, x):
+        seen.append(x)
+        return e_step(theta, dof, x)
+
+    monkeypatch.setattr(fc.em, "_e_step", spy)
+    x = blobs(np.random.default_rng(4), [(0.0, 0.0), (4.0, 0.0)], 40)
+    fit = fc.fit_mixture(x, 2, EmConfig(n_starts=3, max_iter=4), np.random.default_rng(0))
+    assert seen[0].shape == (3, *x.shape) and seen[0].strides[0] == 0
+    assert np.shares_memory(seen[0], x)
+    seen.clear()
+    boot = fc.BootstrapConfig(b=2, refit=fc.WarmStart(3))
+    fc.calibrate_level(x, fit.params, 0.1, boot, EmConfig(), np.random.default_rng(1))
+    assert len(seen) == 2 * 4 and all(s.shape == (1, *x.shape) for s in seen)
+
+
 class TestGaussianEm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(4)

@@ -218,6 +218,14 @@ class TestTStar:
         assert math.isnan(at.t_star)
         assert math.isfinite(above.t_star) and 0.0 < above.t_star < 1.0
 
+    @pytest.mark.parametrize("mc_size", [0, -3])
+    def test_mc_size_below_one_raises_before_any_draw(self, mc_size):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="mc_size must be >= 1"):
+            fc.oracle_curve(symmetric_pair(eps=1.0), 0.1, mc_size, rng)
+        assert rng.bit_generator.state == state
+
     def test_bracketing(self):
         # on the one frozen sample the curve is exactly non-decreasing, and
         # the bisection places t_star to within 1e-3: every grid point below

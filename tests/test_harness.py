@@ -108,6 +108,20 @@ class TestBuiltinScenarios:
             with pytest.raises(ValueError, match="generator family"):
                 scenario_from_json({**base, "generator": gen})
 
+    def test_json_writes_the_q_and_d_of_a_params_truth(self):
+        # the generator's q and d used to be the TruthSpec defaults, 2 and 2
+        truth = fc.MixtureParams(
+            weights=np.full(3, 1 / 3),
+            components=tuple(fc.ComponentParams(kind="gaussian", mean=m, scatter=np.eye(3))
+                             for m in 4.0 * np.eye(3)),
+        )
+        cfg = tiny_scenario(generator=fc.TruthSpec(params=truth))
+        obj = scenario_to_json(cfg)
+        assert (obj["generator"]["q"], obj["generator"]["d"]) == (3, 3)
+        again = scenario_from_json(json.loads(json.dumps(obj)))
+        assert scenario_to_json(again) == obj
+        assert config_hash(again) == config_hash(cfg)
+
     def test_boot_mode_is_chosen_by_the_procedures(self):
         cfg = fc.get_scenario("diagonal")
         cfg.boot = replace(cfg.boot, mode="nonparametric")
@@ -215,6 +229,27 @@ class TestRunScenario:
         assert res.failures == []
         assert len(res.details) == 2
         assert res.cells[0].mean_fcr < 0.1
+
+
+def test_replication_computes_the_fit_posterior_once(monkeypatch):
+    # one posterior of the data under the truth (the oracle) and one under
+    # the fit, which the plug-in, the baseline and both calibrated
+    # procedures share
+    truth = fc.gaussian_separation_truth(2, 2, 3.0)
+    _, x = fc.sample_mixture(truth, 60, np.random.default_rng(0))
+    on_x = []
+    posterior = fc.mixtures.posterior_with_loglik
+
+    def counting(params, data):
+        on_x.append(data is x)
+        return posterior(params, data)
+
+    monkeypatch.setattr(fc.mixtures, "posterior_with_loglik", counting)
+    boot = fc.BootstrapConfig(b=3, refit=WarmStart(2))
+    out = fc.run_replication(x, truth, 0.1, fc.harness.PROCEDURES, fc.EmConfig(n_starts=2),
+                             boot, np.random.default_rng(1))
+    assert set(out) == set(fc.harness.PROCEDURES)
+    assert sum(on_x) == 2
 
 
 class TestEmitOutputs:
