@@ -8,9 +8,11 @@ estimate stays at or below the target.
 
 Resamples and refits are shared across grid levels: moving along the grid
 only moves the selection threshold, which changes no expectation and cuts
-the cost by a factor of the grid size.  Full refits run the EM starts of a
-block of resamples as one stack, with the draws and the estimates of refits
-done one resample at a time.
+the cost by a factor of the grid size.  The refits of a block of resamples
+iterate as one EM stack, with the draws and the estimates of refits done
+one resample at a time: full refits draw from streams spawned in order, and
+warm refits, whose reinits draw from the bootstrap stream itself, stack on
+the guess that they draw nothing and keep the block up to the first that did.
 """
 
 from __future__ import annotations
@@ -19,9 +21,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
-from .em import EmConfig, _best, _fit_runs, _known_factors, _warm_run, fit_mixture
+from .em import EmConfig, _best, _fit_runs, _known_factors, _warm_runs, fit_mixture
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
@@ -46,7 +47,7 @@ logger = logging.getLogger(__name__)
 
 MODES = ("parametric", "nonparametric")
 
-# Full refits of a calibration iterate as stacks of at most this many floats
+# The refits of a calibration iterate as stacks of at most this many floats
 # of per-run data (rows times columns plus components), resamples whole.
 _BLOCK_ELEMENTS = 1 << 20
 
@@ -153,6 +154,8 @@ def _plugin_fcr_per_level(
     of the resampled rows under the reference fit (the parameters estimated
     on the original data), which stand in for the truth.
     """
+    from scipy.optimize import linear_sum_assignment
+
     n, qn = ref_probs.shape
     order, _, ks = kstar_grid(_t_values(probs), levels)
     # cumulative per-class posterior mass along the selection order:
@@ -182,33 +185,69 @@ def _refit_probs(runs):
         return None
 
 
-def _warm_refits(draw, theta_hat, cfg, em_cfg, known, rng):
-    """Warm-start refits, one resample at a time: their reinit draws share
-    ``rng``.  With no iterations the original fit stands in."""
-    iters = cfg.refit.iters
-    theta, dof = _theta(theta_hat), theta_hat.components[0].dof
-    for _ in range(cfg.b):
-        xb = draw()
-        yield xb, (_refit_probs([_warm_run(xb, theta, dof, em_cfg, iters, known, rng)])
-                   if iters else None)
+class _SavedStream:
+    """A warm run's reinit stream: ``rng`` drawn from where it stood just after
+    the run's resample was drawn, keeping where the run's draws leave it."""
+
+    def __init__(self, rng):
+        self.rng, self.state, self.drew = rng, rng.bit_generator.state, False
+
+    def integers(self, n):
+        self.rng.bit_generator.state, self.drew = self.state, True
+        row = self.rng.integers(n)
+        self.state = self.rng.bit_generator.state
+        return row
 
 
-def _full_refits(draw, shape, q, cfg, refit_cfg, known, rng):
-    """Full refits, the starts of a block of resamples iterating as one EM stack.
+def _refits(draw, x, theta_hat, cfg, refit_cfg, known, rng):
+    """Each resample and its refit's posterior (``None``: the original fit
+    stands in), in draw order, from blocks of resamples iterated as one stack.
 
-    Each resample is drawn and its start streams spawned in order, so the
-    draws are those of a refit done right after its resample.
+    Every draw is the one a refit done right after its resample makes.  Full
+    refits spawn each resample's start streams right after drawing it.  Warm
+    refits draw reinits from ``rng``, so a block speculates that they draw
+    none: each run draws from where ``rng`` stood after its own resample, so
+    up to the first run k that drew, the runs made the sequential draws; the
+    runs after it are dropped, and drawing resumes from where refit k left
+    ``rng``.  The warm block starts at one resample, doubles after a block
+    with no reinit and is cut to max(1, k) after one.  A stack of several that
+    raises is redone one resample at a time, so an error surfaces where it
+    would, after the same warnings.  ``_BLOCK_ELEMENTS`` bounds every block.
     """
-    starts = refit_cfg.n_starts
-    per_block = max(1, _BLOCK_ELEMENTS // (starts * shape[0] * (shape[1] + q)))
-    for first in range(0, cfg.b, per_block):
-        block = [(draw(), rng.spawn(starts)) for _ in range(min(per_block, cfg.b - first))]
-        runs = _fit_runs(
-            np.repeat(np.stack([xb for xb, _ in block]), starts, axis=0),
-            q, refit_cfg, known, [s for _, streams in block for s in streams],
-        )
-        for i, (xb, _) in enumerate(block):
-            yield xb, _refit_probs(runs[i * starts:(i + 1) * starts])
+    warm = isinstance(cfg.refit, WarmStart)
+    q, starts = theta_hat.q, 1 if warm else refit_cfg.n_starts
+    bound = max(1, _BLOCK_ELEMENTS // (starts * x.shape[0] * (x.shape[1] + q)))
+    theta, dof = _theta(theta_hat), theta_hat.components[0].dof
+
+    def stack(xs, streams):
+        if not warm:
+            return _fit_runs(np.repeat(np.stack(xs), starts, axis=0), q, refit_cfg, known,
+                             streams)
+        block = tuple(np.repeat(a, len(xs), axis=0) for a in theta)
+        return _warm_runs(np.stack(xs), block, dof, refit_cfg, cfg.refit.iters, known,
+                          streams)
+
+    done, size, alone = 0, 1 if warm else bound, 0
+    while done < cfg.b:
+        m = min(1 if alone else size, cfg.b - done)
+        start, xs, streams = rng.bit_generator.state, [], []
+        for _ in range(m):
+            xs.append(draw())
+            streams += [_SavedStream(rng)] if warm else rng.spawn(starts)
+        try:
+            runs = stack(xs, streams)
+        except (ValueError, np.linalg.LinAlgError):
+            if not warm or m == 1:
+                raise
+            rng.bit_generator.state, alone = start, m
+            continue
+        k = next((i for i, s in enumerate(streams) if s.drew), m) if warm else m
+        if warm:
+            rng.bit_generator.state = streams[min(k, m - 1)].state
+            size = max(1, k) if k < m else min(2 * m, bound)
+        for i in range(min(k + 1, m)):
+            yield xs[i], _refit_probs(runs[i * starts:(i + 1) * starts])
+        done, alone = done + min(k + 1, m), max(alone - 1, 0)
 
 
 def calibrate_level(
@@ -250,9 +289,9 @@ def calibrate_level(
         return resample(x, theta_hat, cfg.mode, rng)
 
     refits = (
-        _warm_refits(draw, theta_hat, cfg, refit_cfg, known, rng)
-        if warm
-        else _full_refits(draw, x.shape, theta_hat.q, cfg, refit_cfg, known, rng)
+        ((draw(), None) for _ in range(cfg.b))
+        if warm and not cfg.refit.iters
+        else _refits(draw, x, theta_hat, cfg, refit_cfg, known, rng)
     )
     sums = np.zeros(len(levels))
     for xb, probs in refits:

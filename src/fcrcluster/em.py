@@ -520,15 +520,16 @@ def em_steps(
     _check_width(x, params.dim)
     dof = params.components[0].dof
     known = _known_factors(cfg, params.q, x.shape[1])
-    run = _warm_run(x, _theta(params), dof, cfg, n_iter, known, rng)
-    return _to_params(_best([run]).theta, dof, cfg.structure)
+    runs = _warm_runs(x, _theta(params), dof, cfg, n_iter, known, [rng])
+    return _to_params(_best(runs).theta, dof, cfg.structure)
 
 
-def _warm_run(x, theta, dof, cfg: EmConfig, n_iter: int, known, rng) -> _Run:
-    """A warm start: one run of ``n_iter`` EM iterations from ``theta``, no early stop."""
-    run = _Run(rng)
-    _iterate(x, theta, dof, replace(cfg, max_iter=n_iter, rel_tol=None), known, [run])
-    return run
+def _warm_runs(x, theta, dof, cfg: EmConfig, n_iter: int, known, streams) -> list[_Run]:
+    """Warm starts, stacked: one run per stream of ``n_iter`` EM iterations
+    from its slice of ``theta``, with no early stop."""
+    runs = [_Run(s) for s in streams]
+    _iterate(x, theta, dof, replace(cfg, max_iter=n_iter, rel_tol=None), known, runs)
+    return runs
 
 
 def save_fit(result: FitResult, params_path, trace_path=None) -> None:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.special import ndtr
 
 from .mixtures import (
     GAUSSIAN,
@@ -122,6 +120,8 @@ def _exhaustive(confusion: np.ndarray) -> tuple[tuple[int, ...], int]:
 
 def _assignment(confusion: np.ndarray) -> tuple[tuple[int, ...], int]:
     """A permutation with the most matches by the assignment solver, and those."""
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(confusion, maximize=True)
     perm = np.empty(len(cols), dtype=np.int64)
     perm[cols] = rows
@@ -242,6 +242,8 @@ def gaussian_t_tail(theta: MixtureParams, theta_star: MixtureParams, t: float) -
     its two components.  The event reduces to a band for a linear statistic
     of X, whose probability is a two-term normal-CDF expression.
     """
+    from scipy.special import ndtr
+
     for params, name in ((theta, "theta"), (theta_star, "theta_star")):
         if params.q != 2:
             raise ValueError(f"{name} must have exactly two components")

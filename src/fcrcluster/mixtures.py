@@ -280,7 +280,7 @@ def _diagonal_mahalanobis(x, means, chols, out) -> None:
     inv = 1.0 / np.diagonal(chols, axis1=-2, axis2=-1)
     u = np.empty_like(out)
     for j in range(x.shape[-1]):
-        np.subtract(x[:, None, :, j], means[..., j, None], out=u)
+        np.subtract(x[..., None, :, j], means[..., j, None], out=u)
         u *= inv[..., j, None]
         if j == 0:
             np.multiply(u, u, out=out)
@@ -295,8 +295,8 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
     The one place a mixture log-density is computed, from plain arrays with a
     leading run axis: log-weights (R, Q), means (R, Q, d), lower Cholesky
     factors (R, Q, d, d) and log-determinants (R, Q); each run's rows ``x``
-    (R, n, d), or a zero-stride view of rows (n, d) the runs share; and
-    ``dofs[q]``, ``None`` for a Gaussian component.
+    (R, n, d), read as given (runs that share rows pass a zero-stride view);
+    and ``dofs[q]``, ``None`` for a Gaussian component.
     The squared Mahalanobis distances are stored in ``mahal`` when an
     (R, Q, n) array is given: elementwise when every factor is diagonal,
     else by one triangular solve per (run, component).  A distance that
@@ -305,7 +305,6 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
     """
     runs, qn = log_w.shape
     n, d = x.shape[-2:]
-    x = np.broadcast_to(x, (runs, n, d))
     if not np.isfinite(chols).all():
         raise ValueError(_NONFINITE)
     m = np.empty((runs, qn, n)) if mahal is None else mahal
@@ -314,12 +313,14 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
         if np.count_nonzero(chols) == runs * qn * d:
             _diagonal_mahalanobis(x, means, chols, m)
         else:
-            for r in range(runs):
-                for q in range(qn):
-                    m[r, q] = _mahalanobis(chols[r, q], x[r] - means[r, q])
+            for q in range(qn):
+                diff = x - means[:, q, None]
+                for r in range(runs):
+                    m[r, q] = _mahalanobis(chols[r, q], diff[r])
+                del diff  # one run stack of differences at a time
         if not np.isfinite(m).all():  # from a non-finite difference, or a harmless overflow
             for r, q in zip(*np.nonzero(~np.isfinite(m).all(axis=2))):
-                if not np.isfinite(x[r] - means[r, q]).all():
+                if not np.isfinite((x - means[:, q, None])[r]).all():
                     raise ValueError(_NONFINITE)
     # in place, in the distances' buffer when they are not kept:
     # log_w - 0.5 * ((d log 2pi + log_det) + m) for a Gaussian, and
@@ -376,7 +377,7 @@ def log_density_rows(component: ComponentParams, data) -> np.ndarray:
     _check_width(x, component.dim)
     chol, log_det = _factorize(component.scatter[None, None])
     lw = _log_weighted(
-        x, np.zeros((1, 1)), component.mean[None, None], chol, log_det, (component.dof,)
+        x[None], np.zeros((1, 1)), component.mean[None, None], chol, log_det, (component.dof,)
     )
     return lw[0, 0]
 
@@ -415,7 +416,7 @@ def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix,
         return empty, 0.0
     weights, means, _, chols, log_dets = _theta(params)
     lw = _log_weighted(
-        x, np.log(weights), means, chols, log_dets, [c.dof for c in params.components]
+        x[None], np.log(weights), means, chols, log_dets, [c.dof for c in params.components]
     )
     probs, loglik = _normalize(lw)
     probs = probs[0].T  # (n, Q), a view of the component-major array

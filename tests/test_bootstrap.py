@@ -255,6 +255,137 @@ class TestWarmRefits:
         assert len(posteriors) == 6 and all(theta is params for theta in posteriors)
 
 
+def far_row_fit(family, structure):
+    """TestWarmRefits' input: one far row holds a component of about 1/n that
+    a resample can empty, so warm refits draw reinits."""
+    rng = np.random.default_rng(1)
+    _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 59, rng)
+    x = np.vstack([x, [[40.0, -30.0]]])
+    em = fc.EmConfig(family=family, structure=structure, n_starts=2, max_iter=50)
+    return x, em, fc.fit_mixture(x, 3, em, np.random.default_rng(1)).params
+
+
+def warm_stacks(monkeypatch):
+    """Per warm stack of several runs: its size and which of its runs drew a reinit."""
+    stacks, warm_runs = [], fc.bootstrap._warm_runs
+
+    def spy(x, theta, dof, cfg, n_iter, known, streams):
+        runs = warm_runs(x, theta, dof, cfg, n_iter, known, streams)
+        if len(runs) > 1:
+            stacks.append((len(runs), [i for i, s in enumerate(streams) if s.drew]))
+        return runs
+
+    monkeypatch.setattr(fc.bootstrap, "_warm_runs", spy)
+    return stacks
+
+
+class TestSpeculativeWarmStacks:
+    """Warm refits stack blocks of resamples on the guess that they draw no
+    reinit; the curve is the one-at-a-time curve."""
+
+    def test_reinit_positions_match_sequential_reference(self, monkeypatch):
+        # blocks of at most four resamples: the first reinit of a block falls
+        # at its first, a middle and its last position, and a block has two
+        x, em, params = far_row_fit("gaussian", "diagonal")
+        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 4 * 60 * (2 + 3))
+        stacks = warm_stacks(monkeypatch)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=40, refit=WarmStart(10))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
+        expected, _ = sequential_warm_curve(
+            x, params, curve.levels, "nonparametric", 40, em, 10, 2)
+        assert np.array_equal(curve.fcr_hat, expected)
+        firsts = [(m, drew[0]) for m, drew in stacks if drew]
+        assert any(k == 0 for _, k in firsts)
+        assert any(0 < k < m - 1 for m, k in firsts)
+        assert any(m > 2 and k == m - 1 for m, k in firsts)
+        assert any(len(drew) > 1 for _, drew in stacks)
+        assert max(m for m, _ in stacks) == 4
+
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
+    @pytest.mark.parametrize("family, structure",
+                             [("gaussian", "diagonal"), ("student", "full")])
+    def test_blocks_match_sequential_reference(self, monkeypatch, mode, family, structure):
+        x, em, params = far_row_fit(family, structure)
+        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 4 * 60 * (2 + 3))
+        stacks = warm_stacks(monkeypatch)
+        cfg = fc.BootstrapConfig(mode=mode, b=40, refit=WarmStart(10))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
+        expected, reinits = sequential_warm_curve(
+            x, params, curve.levels, mode, 40, em, 10, 2)
+        assert np.array_equal(curve.fcr_hat, expected)
+        if (family, mode) == ("student", "nonparametric"):
+            # every refit draws a reinit, so no block grows past one resample
+            assert reinits == 40 and stacks == []
+        else:
+            assert 0 < reinits < 40 and stacks
+
+    def test_no_iterations_matches_sequential_reference(self):
+        x, em, params = far_row_fit("gaussian", "diagonal")
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=20, refit=WarmStart(0))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
+        expected, reinits = sequential_warm_curve(
+            x, params, curve.levels, "nonparametric", 20, em, 0, 2)
+        assert np.array_equal(curve.fcr_hat, expected)
+        assert reinits == 0
+
+    def test_far_row_in_a_stack_raises_at_its_resample(self, monkeypatch, caplog):
+        # a row whose density underflows under every component ends the whole
+        # stack it is in; redone one resample at a time, the error comes at
+        # the resample where it comes one at a time, after the same warnings
+        _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 40,
+                                 np.random.default_rng(0))
+        em = fc.EmConfig(structure="diagonal", n_starts=2)
+        params = fc.fit_mixture(x, 2, em, np.random.default_rng(1)).params
+        x = np.vstack([x, [[1e160, 0.0]]])
+        rng, draws = np.random.default_rng(18), []
+        with pytest.raises(ValueError, match="too far from every mixture component") as alone:
+            for _ in range(30):
+                draws.append(fc.resample(x, params, "nonparametric", rng))
+                fc.em_steps(draws[-1], params, em, 5, rng)
+        assert len(draws) == 5
+
+        best, resample, warm_runs = (
+            fc.bootstrap._best, fc.bootstrap.resample, fc.bootstrap._warm_runs)
+        fits, drawn, raised = [], [], []
+
+        def failing_best(runs):  # the fourth refit fails: one warning
+            fits.append(None)
+            if len(fits) == 4:
+                raise np.linalg.LinAlgError("boom")
+            return best(runs)
+
+        def counted_resample(*args):
+            drawn.append(resample(*args))
+            return drawn[-1]
+
+        def spy(x, theta, dof, cfg, n_iter, known, streams):
+            try:
+                return warm_runs(x, theta, dof, cfg, n_iter, known, streams)
+            except ValueError:
+                raised.append(len(streams))
+                raise
+
+        monkeypatch.setattr(fc.bootstrap, "_best", failing_best)
+        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
+        monkeypatch.setattr(fc.bootstrap, "_warm_runs", spy)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=WarmStart(5))
+        with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
+            with pytest.raises(ValueError) as stacked:
+                fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(18))
+        assert str(stacked.value) == str(alone.value)
+        assert np.array_equal(drawn[-1], draws[-1])
+        assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
+        assert raised == [4, 1]  # a block of four, then resample 4 alone
+
+    def test_calibration_iterates_warm_stacks(self, monkeypatch):
+        _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
+        stacks = warm_stacks(monkeypatch)
+        cfg = fc.BootstrapConfig(b=30, refit=WarmStart(5))
+        fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
+                           np.random.default_rng(3))
+        assert stacks
+
+
 class TestStackedRefits:
     """Full refits iterate as EM stacks; the curve is the one-at-a-time curve."""
 

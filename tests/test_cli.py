@@ -1,7 +1,11 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -377,3 +381,14 @@ def test_cluster_rejects_a_row_far_from_every_component(tmp_path, capsys):
     errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "row 120 is too far from every mixture component" in errors[0]
     assert not (tmp_path / "labels.csv").exists()
+
+
+def test_import_leaves_scipy_optimize_and_special_unloaded():
+    # the assignment solver and the normal CDF are imported where they are
+    # used, so starting the command loads neither module
+    code = ("import sys, fcrcluster.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(fc.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

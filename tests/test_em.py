@@ -196,7 +196,8 @@ class TestKmeansppInit:
 
 def test_runs_read_their_rows_as_one_stack(monkeypatch):
     # the starts of a fit read the caller's rows through one zero-stride
-    # view, with no copy, and a warm refit iterates a one-run stack
+    # view, with no copy; warm refits that draw no reinit iterate blocks of
+    # one resample, then two, then the one left, each run on its own rows
     seen = []
     e_step = fc.em._e_step
 
@@ -210,9 +211,10 @@ def test_runs_read_their_rows_as_one_stack(monkeypatch):
     assert seen[0].shape == (3, *x.shape) and seen[0].strides[0] == 0
     assert np.shares_memory(seen[0], x)
     seen.clear()
-    boot = fc.BootstrapConfig(b=2, refit=fc.WarmStart(3))
+    boot = fc.BootstrapConfig(b=4, refit=fc.WarmStart(3))
     fc.calibrate_level(x, fit.params, 0.1, boot, EmConfig(), np.random.default_rng(1))
-    assert len(seen) == 2 * 4 and all(s.shape == (1, *x.shape) for s in seen)
+    blocks = [1] * 4 + [2] * 4 + [1] * 4
+    assert [s.shape for s in seen] == [(r, *x.shape) for r in blocks]
 
 
 class TestGaussianEm:
