@@ -26,10 +26,8 @@ from .em import (
 )
 from .evaluation import (
     FcrReport,
-    MonteCarloEstimate,
     OracleCurve,
     best_permutation,
-    clustering_risk_mc,
     gaussian_t_tail,
     oracle_curve,
     sample_fcr,

@@ -18,11 +18,11 @@ the guess that they draw nothing and keep the block up to the first that did.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .em import EmConfig, _best, _fit_runs, _known_factors, _warm_runs, fit_mixture
+from .em import EmConfig, FitResult, _best, _fit_runs, _known_factors, _warm_runs, fit_mixture
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
@@ -36,11 +36,13 @@ from .mixtures import (
     validate_data,
 )
 from .selection import (
+    RULES,
     SelectiveClustering,
     _check_alpha,
     cumulative_select,
     empty_selection,
     kstar_grid,
+    select_and_label,
 )
 
 logger = logging.getLogger(__name__)
@@ -325,13 +327,42 @@ def bootstrap_procedure(
     when ``None``).  When no grid level is admissible the items keep their
     MAP labels but nothing is selected.
     """
-    em_cfg = em_cfg or EmConfig()
     boot_cfg = boot_cfg or BootstrapConfig()
+    run = _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, (boot_cfg.mode,))
+    return run.selections[boot_cfg.mode]
+
+
+@dataclass(frozen=True, eq=False)
+class _CalibratedRun:
+    """One fit of the data, its posterior on them, the curve of each requested
+    bootstrap mode and the selection of each requested rule and mode."""
+
+    fit: FitResult
+    post: PosteriorMatrix
+    curves: dict[str, BootstrapCurve]
+    selections: dict[str, SelectiveClustering]
+
+
+def _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, kinds) -> _CalibratedRun:
+    """Fit ``data`` once and run each of ``kinds`` on that fit: a selection
+    rule of ``RULES``, or a bootstrap mode, calibrated with ``boot_cfg`` in
+    that mode and selected at the calibrated level.
+
+    Every setting is checked before the fit.  The fit and then the
+    calibrations, in ``MODES`` order, draw in turn from ``default_rng(rng)``.
+    """
+    alpha = _check_alpha(alpha)
+    cfgs = {k: replace(boot_cfg, mode=k) for k in kinds if k not in RULES}
+    for cfg in cfgs.values():
+        cfg.validate()
     rng = np.random.default_rng(rng)
-    x = validate_data(data)
-    fit = fit_mixture(x, q, em_cfg, rng)
-    curve = calibrate_level(x, fit.params, alpha, boot_cfg, em_cfg, rng)
-    return clustering_at_calibrated_level(fit.params, x, alpha, curve)
+    fit = fit_mixture(data, q, em_cfg, rng)
+    post = posterior_matrix(fit.params, data)
+    selections = {k: select_and_label(post, alpha, k) for k in kinds if k in RULES}
+    curves = {m: calibrate_level(data, fit.params, alpha, cfgs[m], em_cfg, rng)
+              for m in MODES if m in cfgs}
+    selections.update((m, _calibrated_selection(post, alpha, c)) for m, c in curves.items())
+    return _CalibratedRun(fit, post, curves, selections)
 
 
 def clustering_at_calibrated_level(

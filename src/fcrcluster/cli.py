@@ -21,8 +21,7 @@ from .bootstrap import (
     BootstrapConfig,
     FullRefit,
     WarmStart,
-    calibrate_level,
-    clustering_at_calibrated_level,
+    _calibrated_run,
     write_curve_csv,
 )
 from .em import FAMILIES, EmConfig, fit_mixture, save_fit
@@ -34,7 +33,7 @@ from .harness import (
     scenario_from_json,
 )
 from .mixtures import STRUCTURES, load_data_csv, load_mixture_json, posterior_matrix
-from .selection import RULES, _check_alpha, select_and_label, write_clustering_csv
+from .selection import RULES, select_and_label, write_clustering_csv
 
 # the structures a fit estimates: known covariances have no CLI option
 _ESTIMATED = [s for s in STRUCTURES if s != "known"]
@@ -162,18 +161,13 @@ def _cmd_calibrate(args) -> int:
         refit = FullRefit(replace(em_cfg, n_starts=args.refit_starts))
         refit_note = f"full EM per resample ({args.refit_starts} starts)"
     boot_cfg = BootstrapConfig(mode=args.mode, b=args.b, refit=refit)
-    # every setting is checked before the outer fit
-    _check_alpha(args.alpha)
-    boot_cfg.validate()
+    run = _calibrated_run(x, args.q, args.alpha, em_cfg, boot_cfg, args.seed, (args.mode,))
+    curve, sc = run.curves[args.mode], run.selections[args.mode]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    fit = fit_mixture(x, args.q, em_cfg, rng)
-    curve = calibrate_level(x, fit.params, args.alpha, boot_cfg, em_cfg, rng)
-    sc = clustering_at_calibrated_level(fit.params, x, args.alpha, curve)
     write_curve_csv(curve, out / "curve.csv")
     write_clustering_csv(sc, out / "labels.csv")
-    save_fit(fit, out / "params.json")
+    save_fit(run.fit, out / "params.json")
     chosen = (
         "none"
         if curve.chosen_index is None

@@ -38,18 +38,6 @@ class FcrReport:
     n_errors_at_best_perm: int
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    """A Monte-Carlo estimate with its standard error and sample size."""
-
-    estimate: float
-    se: float
-    size: int
-
-    def __float__(self) -> float:
-        return self.estimate
-
-
 @dataclass(frozen=True, eq=False)
 class OracleCurve:
     """Monte-Carlo estimate of the selective risk curve of thresholding T.
@@ -145,29 +133,6 @@ def sample_fcr(true_labels, pred_labels, selection) -> FcrReport:
         n_selected=k,
         n_errors_at_best_perm=errors,
     )
-
-
-def clustering_risk_mc(
-    theta_star: MixtureParams,
-    clustering_rule,
-    n: int,
-    reps: int,
-    rng: np.random.Generator,
-) -> MonteCarloEstimate:
-    """Monte-Carlo clustering risk of ``clustering_rule`` under the truth.
-
-    Each replication samples ``n`` labelled points, applies the rule to the
-    data alone, and scores the permutation-minimized error proportion.
-    """
-    risks = np.empty(reps)
-    everything = np.arange(n)
-    for r in range(reps):
-        z, x = sample_mixture(theta_star, n, rng)
-        pred = clustering_rule(x)
-        _, errors = best_permutation(z, pred, everything)
-        risks[r] = errors / n
-    se = float(risks.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return MonteCarloEstimate(estimate=float(risks.mean()), se=se, size=reps)
 
 
 def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float) -> float:

@@ -21,14 +21,8 @@ import numpy as np
 import scipy
 
 from . import _svg
-from .bootstrap import (
-    BootstrapConfig,
-    FullRefit,
-    WarmStart,
-    _calibrated_selection,
-    calibrate_level,
-)
-from .em import EmConfig, fit_mixture
+from .bootstrap import BootstrapConfig, FullRefit, WarmStart, _calibrated_run
+from .em import EmConfig
 from .evaluation import FcrReport, sample_fcr
 from .mixtures import (
     ComponentParams,
@@ -229,25 +223,10 @@ def _em_with_known(em_cfg: EmConfig, truth: MixtureParams) -> EmConfig:
     return cfg
 
 
-# the procedures that share one fit, by selection rule or bootstrap mode;
-# they run, draw from the generator and are listed in this order
-_RULES = {"plugin": "cumulative", "fixed": "fixed"}
-_MODES = {"boot_param": "parametric", "boot_nonparam": "nonparametric"}
-
-
-def _fitted(x, q, alpha, procedures, em_cfg, boot_cfg, rng) -> dict[str, SelectiveClustering]:
-    """The requested procedures that share one EM fit of ``x``, by name."""
-    if not set(procedures) & {*_RULES, *_MODES}:
-        return {}
-    fit = fit_mixture(x, q, em_cfg, rng)
-    post = posterior_matrix(fit.params, x)
-    out = {p: select_and_label(post, alpha, r) for p, r in _RULES.items() if p in procedures}
-    for proc, mode in _MODES.items():
-        if proc in procedures:
-            cfg = replace(boot_cfg, mode=mode)
-            curve = calibrate_level(x, fit.params, alpha, cfg, em_cfg, rng)
-            out[proc] = _calibrated_selection(post, alpha, curve)
-    return out
+# the procedures that share one fit, by the selection rule or bootstrap mode
+# the calibrated run gives them; a replication lists them in this order
+_FITTED = {"plugin": "cumulative", "fixed": "fixed",
+           "boot_param": "parametric", "boot_nonparam": "nonparametric"}
 
 
 def run_replication(
@@ -270,8 +249,11 @@ def run_replication(
     out: dict[str, SelectiveClustering] = {}
     if "oracle" in procedures:
         out["oracle"] = select_and_label(posterior_matrix(truth, x), alpha, "cumulative")
-    em_cfg = _em_with_known(em_cfg, truth)
-    out.update(_fitted(x, truth.q, alpha, procedures, em_cfg, boot_cfg, rng))
+    fitted = {p: k for p, k in _FITTED.items() if p in procedures}
+    if fitted:
+        run = _calibrated_run(x, truth.q, alpha, _em_with_known(em_cfg, truth), boot_cfg,
+                              rng, fitted.values())
+        out.update((p, run.selections[k]) for p, k in fitted.items())
     return out
 
 
@@ -361,7 +343,7 @@ def run_real_data(
     Ground-truth labels never feed the fit; they are read separately and
     only compared against the output.
     """
-    if procedure not in _RULES and procedure not in _MODES:  # the oracle needs the truth
+    if procedure not in _FITTED:  # the oracle needs the truth
         raise ValueError(f"unsupported real-data procedure {procedure!r}")
     x = load_data_csv(csv_path, columns)
     truth_labels = None
@@ -372,10 +354,9 @@ def run_real_data(
     if x.shape[0] < q:
         raise ValueError(f"{csv_path}: fewer rows ({x.shape[0]}) than clusters ({q})")
 
-    sc = _fitted(
-        x, q, alpha, (procedure,), em_cfg or EmConfig(family="student"),
-        boot_cfg or BootstrapConfig(), np.random.default_rng(seed),
-    )[procedure]
+    kind = _FITTED[procedure]
+    sc = _calibrated_run(x, q, alpha, em_cfg or EmConfig(family="student"),
+                         boot_cfg or BootstrapConfig(), seed, (kind,)).selections[kind]
 
     report = None
     if truth_labels is not None:

@@ -282,7 +282,7 @@ def test_calibrate_checks_settings_before_the_fit(
     def no_fit(*args, **kwargs):
         raise AssertionError("fitted before the settings were checked")
 
-    monkeypatch.setattr(fc.cli, "fit_mixture", no_fit)
+    monkeypatch.setattr(fc.bootstrap, "fit_mixture", no_fit)
     out_dir = tmp_path / "report"
     rc = main(["calibrate", "--data", str(data_csv), "--q", "2", "--b", "3",
                "--out", str(out_dir), *extra])

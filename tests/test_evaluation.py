@@ -122,46 +122,6 @@ class TestSampleFcr:
             assert rep.n_errors_at_best_perm <= identity_errors
 
 
-class TestClusteringRisk:
-    def test_separated_risk_tiny(self):
-        truth = symmetric_pair(eps=100.0)
-
-        def bayes(x):
-            return fc.map_labels(fc.posterior_matrix(truth, x))
-
-        est = fc.clustering_risk_mc(truth, bayes, n=50, reps=40,
-                                    rng=np.random.default_rng(0))
-        assert est.estimate < 0.001
-
-    def test_weight_only_separation(self):
-        # nearly identical components: Bayes risk approaches the minor weight
-        delta = 0.05
-        comps = (
-            fc.ComponentParams("gaussian", np.zeros(1), np.eye(1)),
-            fc.ComponentParams("gaussian", np.array([1e-6]), np.eye(1)),
-        )
-        truth = fc.MixtureParams([0.5 + delta, 0.5 - delta], comps)
-
-        def bayes(x):
-            return fc.map_labels(fc.posterior_matrix(truth, x))
-
-        est = fc.clustering_risk_mc(truth, bayes, n=200, reps=60,
-                                    rng=np.random.default_rng(1))
-        assert est.estimate == pytest.approx(0.5 - delta, abs=3 * est.se + 0.01)
-
-    def test_bayes_risk_equals_mean_t(self):
-        truth = symmetric_pair(eps=2.0)
-
-        def bayes(x):
-            return fc.map_labels(fc.posterior_matrix(truth, x))
-
-        rng = np.random.default_rng(2)
-        est = fc.clustering_risk_mc(truth, bayes, n=200, reps=300, rng=rng)
-        curve = fc.oracle_curve(truth, 0.1, 200_000, np.random.default_rng(3))
-        tol = 3 * math.hypot(est.se, curve.mfcr_ses[-1]) + 1e-3
-        assert est.estimate == pytest.approx(curve.alpha_bar, abs=tol)
-
-
 class TestMfcrOracle:
     """``oracle_curve``'s mean risk conditional on the risk falling below each
     grid threshold."""
@@ -333,3 +293,17 @@ def test_oracle_fcr_identity():
     risk_means = np.asarray(risk_means)
     se = math.hypot(fcrs.std(ddof=1), risk_means.std(ddof=1)) / math.sqrt(len(fcrs))
     assert fcrs.mean() == pytest.approx(risk_means.mean(), abs=3 * se)
+
+
+def test_bayes_risk_equals_mean_t():
+    # the Bayes (MAP under the truth) misclassification rate is the mean
+    # MAP risk, which the oracle curve reports as alpha_bar
+    truth = symmetric_pair(eps=2.0)
+    n = 60_000
+    z, x = fc.sample_mixture(truth, n, np.random.default_rng(2))
+    bayes = fc.map_labels(fc.posterior_matrix(truth, x))
+    rate = fc.sample_fcr(z, bayes, np.arange(n)).sample_fcr
+    se = math.sqrt(rate * (1.0 - rate) / n)
+    curve = fc.oracle_curve(truth, 0.1, 200_000, np.random.default_rng(3))
+    tol = 3 * math.hypot(se, curve.mfcr_ses[-1]) + 1e-3
+    assert rate == pytest.approx(curve.alpha_bar, abs=tol)

@@ -7,6 +7,7 @@ import pytest
 
 import fcrcluster as fc
 from fcrcluster.bootstrap import FullRefit, WarmStart
+from fcrcluster.cli import main
 from fcrcluster.harness import (
     SweepResult,
     config_hash,
@@ -250,6 +251,91 @@ def test_replication_computes_the_fit_posterior_once(monkeypatch):
                              boot, np.random.default_rng(1))
     assert set(out) == set(fc.harness.PROCEDURES)
     assert sum(on_x) == 2
+
+
+def test_calibrate_computes_the_fit_posterior_once(monkeypatch, tmp_path):
+    # the calibrate command selects from the posterior of its input rows
+    # that the calibrated run computed, and computes no other
+    truth = fc.gaussian_separation_truth(2, 2, 3.0)
+    _, x = fc.sample_mixture(truth, 60, np.random.default_rng(0))
+    path = tmp_path / "data.csv"
+    fc.save_data_csv(x, path)
+    rows = fc.load_data_csv(path)
+    on_rows = []
+    posterior = fc.mixtures.posterior_with_loglik
+
+    def counting(params, data):
+        on_rows.append(np.shape(data) == rows.shape and np.array_equal(data, rows))
+        return posterior(params, data)
+
+    monkeypatch.setattr(fc.mixtures, "posterior_with_loglik", counting)
+    for mode in fc.bootstrap.MODES:
+        on_rows.clear()
+        rc = main(["calibrate", "--data", str(path), "--q", "2", "--alpha", "0.1",
+                   "--b", "3", "--mode", mode, "--out", str(tmp_path / mode)])
+        assert rc == 0
+        assert sum(on_rows) == 1, mode
+
+
+def entry_point_inputs(tmp_path):
+    """The truth, two-cluster rows read back from a CSV with columns x1, x2, and
+    that CSV's path."""
+    truth = fc.gaussian_separation_truth(2, 2, 2.5)
+    _, x = fc.sample_mixture(truth, 120, np.random.default_rng(4))
+    path = tmp_path / "rows.csv"
+    fc.save_data_csv(x, path)
+    return truth, fc.load_data_csv(path), path
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [({"alpha": 1.5}, "alpha must lie in"),
+     ({"grid": np.array([0.08, 0.04])}, "grid must be strictly increasing"),
+     ({"b": 0}, "b must be >= 1")],
+)
+@pytest.mark.parametrize("entry", ["bootstrap_procedure", "run_replication", "run_real_data"])
+def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry, setting,
+                                                    message):
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the settings were checked")
+
+    for module in (fc.em, fc.bootstrap, fc.harness):
+        if hasattr(module, "fit_mixture"):
+            monkeypatch.setattr(module, "fit_mixture", no_fit)
+    truth, x, path = entry_point_inputs(tmp_path)
+    alpha = setting.get("alpha", 0.1)
+    boot = fc.BootstrapConfig(b=setting.get("b", 4), grid=setting.get("grid"))
+    em = fc.EmConfig(n_starts=1)
+    run = {
+        "bootstrap_procedure": lambda: fc.bootstrap_procedure(x, 2, alpha, em, boot, 0),
+        "run_replication": lambda: fc.run_replication(
+            x, truth, alpha, ("plugin", "boot_param"), em, boot, np.random.default_rng(0)),
+        "run_real_data": lambda: fc.run_real_data(path, ["x1", "x2"], 2, alpha, em, boot),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        run()
+
+
+@pytest.mark.parametrize("mode, procedure",
+                         [("parametric", "boot_param"), ("nonparametric", "boot_nonparam")])
+def test_entry_points_agree_bit_for_bit(tmp_path, mode, procedure):
+    # the three API entry points to a calibrated selection run one driver:
+    # the same data, configs and seed give the same selection
+    truth, x, path = entry_point_inputs(tmp_path)
+    em = fc.EmConfig(structure="diagonal", n_starts=3)
+    boot = fc.BootstrapConfig(mode=mode, b=6, refit=FullRefit(replace(em, n_starts=2)))
+    ours = fc.bootstrap_procedure(x, 2, 0.1, em, boot, np.random.default_rng(8))
+    others = [
+        fc.run_replication(x, truth, 0.1, (procedure,), em, boot,
+                           np.random.default_rng(8))[procedure],
+        fc.run_real_data(path, ["x1", "x2"], 2, 0.1, em, boot, procedure=procedure,
+                         seed=8)[0],
+    ]
+    assert 0 < ours.selection.k_star < len(x)
+    for sc in others:
+        np.testing.assert_array_equal(sc.labels, ours.labels)
+        np.testing.assert_array_equal(sc.selection.selected, ours.selection.selected)
+        assert sc.selection.threshold == ours.selection.threshold
 
 
 class TestEmitOutputs:
