@@ -168,12 +168,14 @@ def _pooled(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
 # (responsibilities, Mahalanobis distances) are component-major, (R, Q, n),
 # so elementwise work and reductions over components run over whole rows.
 # Each step makes one pass of numpy calls for the whole stack: elementwise
-# operations, reductions over rows or coordinates in a fixed order, and
-# stacked products and factorizations that make one BLAS or LAPACK call per
-# slice; so every run computes the bits it would compute alone.  Diagonal
-# and spherical scatters are estimated, floored and factored from their
-# diagonals alone.  Scatters are regularized once when they are made;
-# mixture parameters are built, and so validated, only when a fit returns.
+# operations over whole component rows (Mahalanobis distances, pair moments),
+# reductions over rows or coordinates in a fixed order, and stacked products
+# and factorizations that make one BLAS or LAPACK call per slice (the means,
+# Cholesky, the eigenvalue floor); so every run computes the bits it would
+# compute alone.  Diagonal and spherical scatters are estimated, floored and
+# factored from their diagonals alone.  Scatters are regularized once when
+# they are made; mixture parameters are built, and so validated, only when a
+# fit returns.
 
 
 @dataclass(eq=False)
@@ -252,27 +254,25 @@ def _m_step(
         scatters, chols, log_dets = (
             np.broadcast_to(a, (n_runs, *a.shape)) for a in known
         )
-    elif diagonal:
-        # per-coordinate second moments: the diagonal the projection keeps;
-        # the scatters are carried as their diagonals until they are factored
-        var = np.empty((n_runs, qn, d))
-        dj, wdj = np.empty_like(w), np.empty_like(w)
-        for j in range(d):
-            np.subtract(x[:, None, :, j], means[..., j, None], out=dj)
-            np.multiply(w, dj, out=wdj)
-            var[..., j] = np.einsum("...i,...i->...", wdj, dj)
-        var /= np.where(ok, mass, 1.0)[..., None]
-        if cfg.structure == "spherical":
-            var[:] = var.sum(axis=-1, keepdims=True) / d
-        scatters, fail = _regularize_diagonal(var)
-        ok &= fail == 0
     else:
-        # one (d, n) @ (n, d) product per run and component, as one matmul
-        diff = x[:, None] - means[:, :, None, :]
-        covs = np.matmul((w[..., None] * diff).swapaxes(-1, -2), diff)
-        covs /= np.where(ok, mass, 1.0)[..., None, None]
-        del diff
-        scatters, fail = _regularize(covs)
+        # weighted pair moments sum_i w_i (x_ij - mu_j)(x_ik - mu_k), one reduction
+        # over (R, Q, n) deviations per pair k <= j; diagonal structures take the
+        # pairs j = k and carry their scatters as diagonals until they are factored
+        dev = np.empty((d, *w.shape))
+        wdj = np.empty_like(w)
+        moments = np.empty((n_runs, qn, d, d))
+        denom = np.where(ok, mass, 1.0)
+        for j in range(d):
+            np.subtract(x[:, None, :, j], means[..., j, None], out=dev[j])
+            np.multiply(w, dev[j], out=wdj)
+            for k in (j,) if diagonal else range(j + 1):
+                moments[..., j, k] = moments[..., k, j] = (
+                    np.einsum("...i,...i->...", wdj, dev[k]) / denom)
+        if diagonal:
+            moments = np.diagonal(moments, axis1=-2, axis2=-1).copy()
+        if cfg.structure == "spherical":
+            moments[:] = moments.sum(axis=-1, keepdims=True) / d
+        scatters, fail = (_regularize_diagonal if diagonal else _regularize)(moments)
         ok &= fail == 0
 
     redo = ~ok

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import lapack
 
 GAUSSIAN = "gaussian"
 STUDENT_T = "student_t"
@@ -251,42 +250,43 @@ def _check_width(x: np.ndarray, d: int) -> None:
 _NONFINITE = "array must not contain infs or NaNs"
 
 
-def _mahalanobis(chol: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis lengths of the rows of ``diff`` under a lower factor.
+# The Mahalanobis kernel's row blocks hold at most this many floats: 2 MB,
+# about a core's L2 cache, where its passes ran faster than in larger blocks.
+# Each row is computed on its own, so the bits do not depend on the blocks.
+_BLOCK_ELEMENTS = 1 << 18
 
-    LAPACK ``dtrtrs`` with the arguments ``solve_triangular(chol, diff.T,
-    lower=True)`` passes for a C-ordered factor: the same routine and bits,
-    without the wrapper's cost.  ``diff`` is overwritten.
+
+def _squared_distances(x, means, chols, out) -> None:
+    """Squared Mahalanobis distances of the rows ``x`` (R, n, d) to ``means``
+    (R, Q, d) under lower factors ``chols`` (R, Q, d, d), into ``out`` (R, Q, n).
+
+    Forward substitution ``z_j = (x_j - mu_j - sum_{k<j} L_jk z_k) * (1 / L_jj)``
+    and ``sum_j z_j**2`` in coordinate order, elementwise over whole component
+    rows, in blocks of rows: O(d**2) passes.  When every factor is diagonal
+    the off-diagonal terms are skipped, O(d) passes, and ``z_j`` is squared
+    in its buffer: for d <= 2 that gives the bits of LAPACK's solve.
     """
-    z, info = lapack.dtrtrs(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
-    if info < 0:
-        raise ValueError(f"triangular solve: illegal value in argument {-info}")
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}"
-        )
-    return np.einsum("ij,ij->j", z, z)
-
-
-def _diagonal_mahalanobis(x, means, chols, out) -> None:
-    """``_mahalanobis`` for a stack of diagonal factors, into ``out`` (R, Q, n).
-
-    The sum over coordinates of ``((x_j - mu_j) * (1 / L_jj))**2``, added in
-    coordinate order, elementwise over whole component rows, in one reused
-    buffer.  The triangular solve of more than one row multiplies by the same
-    reciprocal, so for d <= 2 the bits are its bits; from d = 3 on its sum of
-    squares runs in another order.
-    """
+    runs, qn, d = means.shape
+    n = x.shape[-2]
+    # a Cholesky diagonal is positive, so only diagonal factors have d nonzeros
+    full = np.count_nonzero(chols) != runs * qn * d
     inv = 1.0 / np.diagonal(chols, axis1=-2, axis2=-1)
-    u = np.empty_like(out)
-    for j in range(x.shape[-1]):
-        np.subtract(x[..., None, :, j], means[..., j, None], out=u)
-        u *= inv[..., j, None]
-        if j == 0:
-            np.multiply(u, u, out=out)
-        else:
-            u *= u
-            out += u
+    step = max(1, _BLOCK_ELEMENTS // (runs * qn * (d if full else 1)))
+    z = np.empty((d if full else 1, runs, qn, min(step, n)))
+    sq = np.empty(z.shape[1:]) if full else z[0]
+    for a in range(0, n, step):
+        b = min(a + step, n)
+        zb, sqb, ob = z[..., : b - a], sq[..., : b - a], out[..., a:b]
+        for j in range(d):
+            zj = zb[j if full else 0]
+            np.subtract(x[..., None, a:b, j], means[..., j, None], out=zj)
+            for k in range(j if full else 0):
+                np.multiply(zb[k], chols[..., j, k, None], out=sqb)
+                zj -= sqb
+            zj *= inv[..., j, None]
+            np.multiply(zj, zj, out=sqb if j else ob)
+            if j:
+                ob += sqb
 
 
 def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndarray:
@@ -297,31 +297,25 @@ def _log_weighted(x, log_w, means, chols, log_dets, dofs, mahal=None) -> np.ndar
     factors (R, Q, d, d) and log-determinants (R, Q); each run's rows ``x``
     (R, n, d), read as given (runs that share rows pass a zero-stride view);
     and ``dofs[q]``, ``None`` for a Gaussian component.
-    The squared Mahalanobis distances are stored in ``mahal`` when an
-    (R, Q, n) array is given: elementwise when every factor is diagonal,
-    else by one triangular solve per (run, component).  A distance that
-    overflows to inf is harmless, but as ``solve_triangular`` does, a
-    non-finite factor or difference ``x_i - mu_q`` raises ``ValueError``.
+    The squared Mahalanobis distances, from ``_squared_distances``, are
+    stored in ``mahal`` when an (R, Q, n) array is given.  A distance that
+    overflows to inf is harmless, but a non-finite factor or difference
+    ``x_i - mu_q`` raises ``ValueError``.
     """
     runs, qn = log_w.shape
     n, d = x.shape[-2:]
     if not np.isfinite(chols).all():
         raise ValueError(_NONFINITE)
     m = np.empty((runs, qn, n)) if mahal is None else mahal
-    with np.errstate(over="ignore"):
-        # a Cholesky diagonal is positive, so only diagonal factors have d nonzeros
-        if np.count_nonzero(chols) == runs * qn * d:
-            _diagonal_mahalanobis(x, means, chols, m)
-        else:
-            for q in range(qn):
-                diff = x - means[:, q, None]
-                for r in range(runs):
-                    m[r, q] = _mahalanobis(chols[r, q], diff[r])
-                del diff  # one run stack of differences at a time
+    with np.errstate(over="ignore", invalid="ignore"):
+        _squared_distances(x, means, chols, m)
         if not np.isfinite(m).all():  # from a non-finite difference, or a harmless overflow
             for r, q in zip(*np.nonzero(~np.isfinite(m).all(axis=2))):
                 if not np.isfinite((x - means[:, q, None])[r]).all():
                     raise ValueError(_NONFINITE)
+            # an overflowed z_k times a zero L_jk, or two overflows of opposite
+            # sign, give NaN where the distance overflows
+            np.copyto(m, np.inf, where=np.isnan(m))
     # in place, in the distances' buffer when they are not kept:
     # log_w - 0.5 * ((d log 2pi + log_det) + m) for a Gaussian, and
     # (log_w + const) - 0.5 (nu + d) log1p(m / nu) for a Student-t

@@ -385,9 +385,10 @@ def test_cluster_rejects_a_row_far_from_every_component(tmp_path, capsys):
 
 def test_import_leaves_scipy_optimize_and_special_unloaded():
     # the assignment solver and the normal CDF are imported where they are
-    # used, so starting the command loads neither module
-    code = ("import sys, fcrcluster.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])")
+    # used, and the density kernel needs no LAPACK wrapper, so starting the
+    # command loads none of these modules
+    code = ("import sys, fcrcluster.cli; print([m for m in"
+            " ('scipy.optimize', 'scipy.special', 'scipy.linalg') if m in sys.modules])")
     env = {**os.environ, "PYTHONPATH": str(Path(fc.__file__).resolve().parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

@@ -217,6 +217,39 @@ def test_runs_read_their_rows_as_one_stack(monkeypatch):
     assert [s.shape for s in seen] == [(r, *x.shape) for r in blocks]
 
 
+
+@pytest.mark.parametrize("structure", ["spherical", "diagonal", "full"])
+@pytest.mark.parametrize("dof", [None, 5.0])
+def test_m_step_scatters_are_the_weighted_pair_moments(structure, dof):
+    # full scatters agree within 1e-13 with one (d, n) @ (n, d) product of
+    # weighted deviations per run and component; diagonal and spherical ones
+    # are the per-coordinate moments, bit for bit
+    rng = np.random.default_rng(8)
+    runs, qn, n, d = 3, 2, 60, 4
+    x = rng.normal(size=(runs, n, d)) @ rng.normal(size=(d, d))
+    resp = rng.dirichlet(np.ones(qn), size=(runs, n)).transpose(0, 2, 1).copy()
+    mahal = None if dof is None else rng.uniform(0.0, 10.0, size=(runs, qn, n))
+    streams = [fc.em._Run(np.random.default_rng(r)) for r in range(runs)]
+    _, means, scatters, _, _ = fc.em._m_step(
+        x, resp, mahal, EmConfig(structure=structure), dof, None, streams
+    )
+    assert all(run.n_reinits == 0 for run in streams)
+    w = resp if dof is None else resp * ((dof + d) / (mahal + dof))
+    mass = resp.sum(axis=2)
+    if structure == "full":
+        diff = x[:, None] - means[:, :, None, :]
+        covs = np.matmul((w[..., None] * diff).swapaxes(-1, -2), diff) / mass[..., None, None]
+        np.testing.assert_allclose(scatters, covs, rtol=1e-13, atol=0.0)
+        return
+    var = np.empty((runs, qn, d))
+    for j in range(d):
+        dj = x[:, None, :, j] - means[..., j, None]
+        var[..., j] = np.einsum("...i,...i->...", w * dj, dj)
+    var /= mass[..., None]
+    if structure == "spherical":
+        var[:] = var.sum(axis=-1, keepdims=True) / d
+    assert np.array_equal(scatters, var[..., None] * np.eye(d))
+
 class TestGaussianEm:
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(4)

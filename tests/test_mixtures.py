@@ -6,12 +6,12 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 
 import fcrcluster as fc
 from fcrcluster.mixtures import (
     _factorize,
     _log_weighted,
-    _mahalanobis,
     _map_rows,
     _normalize,
     _regularize,
@@ -229,16 +229,18 @@ class TestPosterior:
     @pytest.mark.parametrize("off_diagonal", [0.0, 0.5])
     def test_overflow_under_one_component_is_harmless(self, off_diagonal):
         # the distance to the narrow component overflows to inf, with no
-        # warning, on the elementwise and on the triangular-solve path alike
+        # warning, for diagonal and full factors alike: in its square, and,
+        # for the last row, in the first step of the substitution, whose inf
+        # times the narrow factor's zero off-diagonal entry is NaN
         wide = np.array([[1e300, off_diagonal * 1e300], [off_diagonal * 1e300, 1e300]])
         params = fc.MixtureParams(
             [0.5, 0.5],
-            (fc.ComponentParams("gaussian", np.zeros(2), np.eye(2) * 1e-4),
+            (fc.ComponentParams("gaussian", np.zeros(2), np.eye(2) * 1e-200),
              fc.ComponentParams("student_t", np.zeros(2), wide, dof=5.0)),
         )
-        post = fc.posterior_matrix(params, np.array([[0.0, 0.0], [1e155, 0.0]]))
+        post = fc.posterior_matrix(params, np.array([[0.0, 0.0], [1e155, 0.0], [1e210, 0.0]]))
         assert np.all(np.isfinite(post.probs))
-        np.testing.assert_array_equal(post.probs[1], [0.0, 1.0])
+        np.testing.assert_array_equal(post.probs[1:], [[0.0, 1.0], [0.0, 1.0]])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3))
@@ -404,34 +406,47 @@ def triangular_solves(x, means, chols):
     out = np.empty((runs, qn, x.shape[-2]))
     for r in range(runs):
         for q in range(qn):
-            out[r, q] = _mahalanobis(chols[r, q], (x if x.ndim == 2 else x[r]) - means[r, q])
+            diff = (x if x.ndim == 2 else x[r]) - means[r, q]
+            z = solve_triangular(chols[r, q], diff.T, lower=True)
+            out[r, q] = np.einsum("ij,ij->j", z, z)
     return out
 
 
-def diagonal_stack(rng, runs, qn, d, shared, n=50):
+def factor_stack(rng, runs, qn, d, shared, full=False, n=50):
     x = rng.normal(scale=3.0, size=(n, d) if shared else (runs, n, d))
     means = rng.normal(size=(runs, qn, d))
     scatters = rng.uniform(0.1, 4.0, size=(runs, qn, d))[..., None] * np.eye(d)
+    if full:
+        a = rng.normal(size=(runs, qn, d, d))
+        scatters += a @ a.swapaxes(-1, -2)
     log_w = np.log(rng.dirichlet(np.ones(qn), size=runs))
     return x, log_w, means, *_factorize(scatters)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 20])
+@pytest.mark.parametrize("d, full", [
+    *(pytest.param(d, False, id=str(d)) for d in (1, 2, 3, 4, 5, 20)),
+    *(pytest.param(d, True, id=f"{d}-full") for d in (1, 2, 3, 4, 5, 20)),
+])
 @pytest.mark.parametrize("runs", [1, 4])
 @pytest.mark.parametrize("shared", [True, False])
 @pytest.mark.parametrize("dof", [None, 5.0])
-def test_diagonal_kernel_matches_triangular_solves(d, runs, shared, dof):
-    # bit for bit up to d = 2; from d = 3 the solver sums its squares in
-    # another order
+def test_diagonal_kernel_matches_triangular_solves(d, full, runs, shared, dof):
+    # diagonal factors: bit for bit up to d = 2; from d = 3 the solver sums
+    # its squares in another order; full factors: within 1e-13, as the
+    # solver orders its products and sums in its own way.  One diagonal
+    # factor in a full stack takes the full substitution with the others
     rng = np.random.default_rng(100 * d + runs)
-    x, log_w, means, chols, log_dets = diagonal_stack(rng, runs, 3, d, shared)
+    x, log_w, means, chols, log_dets = factor_stack(rng, runs, 3, d, shared, full)
+    chols[0, 1] = np.diag(np.diag(chols[0, 1]))
+    assert np.count_nonzero(np.tril(chols, -1)) == (
+        (runs * 3 - 1) * d * (d - 1) // 2 if full else 0)
     mahal = np.empty((runs, 3, x.shape[-2]))
     lw = _log_weighted(x, log_w, means, chols, log_dets, (dof,) * 3, mahal)
     expected = triangular_solves(x, means, chols)
-    if d <= 2:
+    if d <= 2 and not full:
         assert np.array_equal(mahal, expected)
     else:
-        np.testing.assert_allclose(mahal, expected, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(mahal, expected, rtol=1e-13 if full else 1e-14, atol=0.0)
     r, q = runs - 1, 2
     cov = chols[r, q] @ chols[r, q].T
     law = (scipy.stats.multivariate_normal(means[r, q], cov) if dof is None
@@ -441,36 +456,25 @@ def test_diagonal_kernel_matches_triangular_solves(d, runs, shared, dof):
     )
 
 
-def test_kernel_is_chosen_by_the_factors(monkeypatch):
-    rng = np.random.default_rng(3)
-    x, log_w, means, chols, log_dets = diagonal_stack(rng, 4, 3, 3, shared=False)
-
-    def refuse(*args):
-        raise AssertionError("wrong kernel")
-
-    # diagonal factors make no triangular solve
-    with monkeypatch.context() as m:
-        m.setattr(fc.mixtures, "_mahalanobis", refuse)
-        _log_weighted(x, log_w, means, chols, log_dets, (None,) * 3)
-    # one nonzero off-diagonal entry anywhere in the stack takes the solves
-    chols[2, 1, 2, 0] = 0.3
-    monkeypatch.setattr(fc.mixtures, "_diagonal_mahalanobis", refuse)
-    mahal = np.empty((4, 3, 50))
-    _log_weighted(x, log_w, means, chols, log_dets, (None,) * 3, mahal)
-    assert np.array_equal(mahal, triangular_solves(x, means, chols))
-
-
-def test_triangular_solve_rejects_an_illegal_argument():
-    # a factor wider than the rows: LAPACK flags an argument with info < 0
-    with pytest.raises(ValueError, match="illegal value in argument 9"):
-        _mahalanobis(np.eye(3), np.ones((5, 2)))
+@pytest.mark.parametrize("full", [False, True])
+@pytest.mark.parametrize("dof", [None, 5.0])
+def test_kernel_bits_do_not_depend_on_the_row_blocks(monkeypatch, full, dof):
+    # 50 rows in blocks of 7 (the last of one row) give the one-block bits
+    rng = np.random.default_rng(5)
+    x, log_w, means, chols, log_dets = factor_stack(rng, 4, 3, 3, False, full)
+    one = np.empty((4, 3, 50))
+    lw_one = _log_weighted(x, log_w, means, chols, log_dets, (dof,) * 3, one)
+    monkeypatch.setattr(fc.mixtures, "_BLOCK_ELEMENTS", 7 * 4 * 3 * (3 if full else 1))
+    blocked = np.empty((4, 3, 50))
+    lw_blocked = _log_weighted(x, log_w, means, chols, log_dets, (dof,) * 3, blocked)
+    assert np.array_equal(blocked, one) and np.array_equal(lw_blocked, lw_one)
 
 
 @pytest.mark.parametrize("diagonal", [True, False])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_mean_raises(diagonal, bad):
     rng = np.random.default_rng(4)
-    x, log_w, means, chols, log_dets = diagonal_stack(rng, 2, 2, 2, shared=True)
+    x, log_w, means, chols, log_dets = factor_stack(rng, 2, 2, 2, shared=True)
     if not diagonal:
         chols[0, 0, 1, 0] = 0.3
     means[1, 0, 1] = bad
