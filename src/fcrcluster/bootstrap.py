@@ -13,12 +13,18 @@ iterate as one EM stack, with the draws and the estimates of refits done
 one resample at a time: full refits draw from streams spawned in order, and
 warm refits, whose reinits draw from the bootstrap stream itself, stack on
 the guess that they draw nothing and keep the block up to the first that did.
+A block is scored in one pass: its reference posteriors under the original
+fit are rows gathered from the fit's posterior on the data (row resampling)
+or one stacked density pass (model draws), and the plug-in FCR of all its
+resamples at every grid level comes from one sort, one cumulative sum and,
+for at most three components, the best of the label permutations.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import permutations
 
 import numpy as np
 
@@ -26,7 +32,9 @@ from .em import EmConfig, FitResult, _best, _fit_runs, _known_factors, _warm_run
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
+    _log_weighted,
     _map_rows,
+    _normalize,
     _t_values,
     _theta,
     _write_csv,
@@ -41,7 +49,6 @@ from .selection import (
     _check_alpha,
     cumulative_select,
     empty_selection,
-    kstar_grid,
     select_and_label,
 )
 
@@ -50,7 +57,8 @@ logger = logging.getLogger(__name__)
 MODES = ("parametric", "nonparametric")
 
 # The refits of a calibration iterate as stacks of at most this many floats
-# of per-run data (rows times columns plus components), resamples whole.
+# of per-run data (rows times columns plus components), resamples whole, and
+# are scored in pieces of at most this many cumulative gains (rows times Q**2).
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -92,7 +100,7 @@ class BootstrapConfig:
             g = np.asarray(self.grid, dtype=float)
             if g.ndim != 1 or g.size == 0:
                 raise ValueError("grid must be a non-empty 1-d vector")
-            if g.min() <= 0.0 or g.max() >= 1.0:
+            if not np.all((g > 0.0) & (g < 1.0)):
                 raise ValueError("grid levels must lie in (0, 1)")
             if np.any(np.diff(g) <= 0.0):
                 raise ValueError("grid must be strictly increasing")
@@ -146,34 +154,53 @@ def choose_level(fcr_hat: np.ndarray, alpha: float) -> int | None:
     return int(admissible[-1]) if admissible.size else None
 
 
-def _plugin_fcr_per_level(
-    probs: np.ndarray, ref_probs: np.ndarray, levels: np.ndarray
-) -> np.ndarray:
-    """Per-level FCR of one resample, minimized over label permutations.
+def _score_block(probs: np.ndarray, ref: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Per resample of a block, the plug-in FCR at each level, minimized over
+    label permutations: an (m, L) array.
 
-    ``probs`` is the refit's posterior on the resample, whose risks and MAP
-    labels the plug-in uses; ``ref_probs`` are the posterior probabilities
+    ``probs`` (m, Q, n) holds the refits' posteriors on the resamples, whose
+    risks and MAP labels the plug-in uses; ``ref`` (m, Q, n) the posteriors
     of the resampled rows under the reference fit (the parameters estimated
-    on the original data), which stand in for the truth.
+    on the original data), which stand in for the truth.  Each resample is
+    scored as the cumulative rule scores it alone: a stable sort of its
+    risks, prefix means searched at each level for k*, and at k* the gain
+    ``G[c, r]``, the reference mass of class r summed in selection order over
+    the selected items with MAP class c.  The estimate is
+    ``(k* - max over permutations s of sum_c G[c, s(c)]) / k*``: the best of
+    the Q! permutations, summed over c in order, for Q <= 3, and the
+    assignment solver above.
     """
-    from scipy.optimize import linear_sum_assignment
+    m, q, n = ref.shape
+    t = _t_values(probs.transpose(0, 2, 1))
+    order = np.argsort(t, axis=1, kind="stable")
+    means = np.cumsum(np.take_along_axis(t, order, axis=1), axis=1) / np.arange(1, n + 1)
+    # prefix means of ascending risks are non-decreasing: k* is a searchsorted count
+    ks = np.array([np.searchsorted(row, levels, side="right") for row in means])
+    values = np.zeros((m, len(levels)))
+    if not ks.any():
+        return values
+    labels = np.take_along_axis(_map_rows(probs.transpose(0, 2, 1)), order, axis=1)
+    block = np.arange(m)[:, None]
+    # cum[i, j, c, r]: the class-r reference mass of the items of MAP class c
+    # among the j + 1 lowest-risk items of resample i
+    cum = np.zeros((m, n, q, q))
+    cum[block, np.arange(n), labels] = np.take_along_axis(
+        ref, order[:, None], axis=2).transpose(0, 2, 1)
+    np.cumsum(cum, axis=1, out=cum)
+    gain = cum[block, np.maximum(ks - 1, 0)]  # (m, L, Q, Q)
+    if q <= 3:
+        picked = gain[..., np.arange(q), np.array(list(permutations(range(q))))]
+        best = picked[..., 0]
+        for c in range(1, q):
+            best = best + picked[..., c]
+        best = best.max(axis=-1)
+    else:
+        from scipy.optimize import linear_sum_assignment
 
-    n, qn = ref_probs.shape
-    order, _, ks = kstar_grid(_t_values(probs), levels)
-    # cumulative per-class posterior mass along the selection order:
-    # cum[k-1, c, r] = sum over the k lowest-risk items with predicted class
-    # c of the reference posterior for class r
-    one_hot = np.zeros((n, qn))
-    one_hot[np.arange(n), _map_rows(probs)[order]] = 1.0
-    contrib = one_hot[:, :, None] * ref_probs[order][:, None, :]
-    cum = np.cumsum(contrib, axis=0)
-    values = np.zeros(len(levels))
-    for j, k in enumerate(ks):
-        if k == 0:
-            continue
-        gain = cum[k - 1]
-        rows, cols = linear_sum_assignment(-gain)
-        values[j] = (k - float(gain[rows, cols].sum())) / k
+        best = np.zeros(ks.shape)
+        for i, j in zip(*np.nonzero(ks)):
+            best[i, j] = gain[i, j][linear_sum_assignment(-gain[i, j])].sum()
+    np.divide(ks - best, ks, out=values, where=ks > 0)
     return values
 
 
@@ -201,9 +228,10 @@ class _SavedStream:
         return row
 
 
-def _refits(draw, x, theta_hat, cfg, refit_cfg, known, rng):
-    """Each resample and its refit's posterior (``None``: the original fit
-    stands in), in draw order, from blocks of resamples iterated as one stack.
+def _refits(draw, reference, x, theta, dof, cfg, refit_cfg, known, rng):
+    """Blocks of resamples in draw order, each as its refits' posteriors
+    (``None``: the original fit stands in) and the (m, Q, n) stack of its
+    resamples' reference posteriors, ``reference(xs, idxs)``.
 
     Every draw is the one a refit done right after its resample makes.  Full
     refits spawn each resample's start streams right after drawing it.  Warm
@@ -211,45 +239,55 @@ def _refits(draw, x, theta_hat, cfg, refit_cfg, known, rng):
     none: each run draws from where ``rng`` stood after its own resample, so
     up to the first run k that drew, the runs made the sequential draws; the
     runs after it are dropped, and drawing resumes from where refit k left
-    ``rng``.  The warm block starts at one resample, doubles after a block
-    with no reinit and is cut to max(1, k) after one.  A stack of several that
-    raises is redone one resample at a time, so an error surfaces where it
-    would, after the same warnings.  ``_BLOCK_ELEMENTS`` bounds every block.
+    ``rng``.  Warm runs start from ``theta``, the original fit's kernel
+    arrays, with Student-t ``dof``.  Every block starts at the bound that
+    ``_BLOCK_ELEMENTS`` sets; a warm block is cut to max(1, k) after a reinit
+    and doubles, up to the bound, after a block with none.  A block of
+    several whose stack or reference posteriors raise is redone one resample
+    at a time, so an error surfaces where it would, after the same warnings.
     """
     warm = isinstance(cfg.refit, WarmStart)
-    q, starts = theta_hat.q, 1 if warm else refit_cfg.n_starts
-    bound = max(1, _BLOCK_ELEMENTS // (starts * x.shape[0] * (x.shape[1] + q)))
-    theta, dof = _theta(theta_hat), theta_hat.components[0].dof
+    q, starts = theta[0].shape[1], 1 if warm else refit_cfg.n_starts
+    bound = max(1, _BLOCK_ELEMENTS // max(1, starts * x.shape[0] * (x.shape[1] + q)))
 
     def stack(xs, streams):
         if not warm:
             return _fit_runs(np.repeat(np.stack(xs), starts, axis=0), q, refit_cfg, known,
                              streams)
+        if not cfg.refit.iters:
+            return None
         block = tuple(np.repeat(a, len(xs), axis=0) for a in theta)
         return _warm_runs(np.stack(xs), block, dof, refit_cfg, cfg.refit.iters, known,
                           streams)
 
-    done, size, alone = 0, 1 if warm else bound, 0
+    done, size, alone = 0, bound, 0
     while done < cfg.b:
         m = min(1 if alone else size, cfg.b - done)
-        start, xs, streams = rng.bit_generator.state, [], []
+        start, xs, idxs, streams = rng.bit_generator.state, [], [], []
         for _ in range(m):
-            xs.append(draw())
+            xb, idx = draw()
+            xs.append(xb)
+            idxs.append(idx)
             streams += [_SavedStream(rng)] if warm else rng.spawn(starts)
         try:
             runs = stack(xs, streams)
+            k = next((i for i, s in enumerate(streams) if s.drew), m) if warm else m
+            kept = min(k + 1, m)
+            # a lone resample's reference posterior is computed after its
+            # refit's warning is logged, as one resample at a time does
+            ref = reference(xs[:kept], idxs[:kept]) if m > 1 else None
         except (ValueError, np.linalg.LinAlgError):
-            if not warm or m == 1:
+            if m == 1:
                 raise
             rng.bit_generator.state, alone = start, m
             continue
-        k = next((i for i, s in enumerate(streams) if s.drew), m) if warm else m
         if warm:
-            rng.bit_generator.state = streams[min(k, m - 1)].state
+            rng.bit_generator.state = streams[kept - 1].state
             size = max(1, k) if k < m else min(2 * m, bound)
-        for i in range(min(k + 1, m)):
-            yield xs[i], _refit_probs(runs[i * starts:(i + 1) * starts])
-        done, alone = done + min(k + 1, m), max(alone - 1, 0)
+        probs = [None if runs is None else _refit_probs(runs[i * starts:(i + 1) * starts])
+                 for i in range(kept)]
+        yield probs, ref if m > 1 else reference(xs, idxs)
+        done, alone = done + kept, max(alone - 1, 0)
 
 
 def calibrate_level(
@@ -259,6 +297,8 @@ def calibrate_level(
     cfg: BootstrapConfig,
     em_cfg: EmConfig | None = None,
     rng: np.random.Generator | None = None,
+    *,
+    _post: PosteriorMatrix | None = None,
 ) -> BootstrapCurve:
     """Estimate the FCR along the level grid and pick the working level.
 
@@ -267,7 +307,9 @@ def calibrate_level(
     level whose estimate is at or below ``alpha`` (``None`` when even the
     smallest level overshoots).  A one-level grid, ``grid=[alpha_prime]``,
     gives the bootstrap estimate of the FCR the plug-in achieves at
-    ``alpha_prime`` as ``fcr_hat[0]``.
+    ``alpha_prime`` as ``fcr_hat[0]``.  ``_post``, private, is the posterior
+    of ``data`` under ``theta_hat`` when the caller holds it: row resampling
+    then gathers its reference posteriors from it.
     """
     cfg.validate()
     alpha = _check_alpha(alpha)
@@ -279,7 +321,8 @@ def calibrate_level(
     em_cfg = em_cfg or EmConfig()
     refit_cfg = em_cfg if warm else cfg.refit.em or em_cfg
     refit_cfg.validate()
-    known = _known_factors(refit_cfg, theta_hat.q, x.shape[1])
+    (n, d), q = x.shape, theta_hat.q
+    known = _known_factors(refit_cfg, q, d)
     rng = np.random.default_rng(rng)
     logger.info(
         "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b,
@@ -288,17 +331,34 @@ def calibrate_level(
     )
 
     def draw():
-        return resample(x, theta_hat, cfg.mode, rng)
+        """A resample and, for row resampling, the indices of its rows."""
+        if cfg.mode == "parametric":
+            return resample(x, theta_hat, cfg.mode, rng), None
+        idx = rng.integers(0, n, size=n)
+        return x[idx], idx
 
-    refits = (
-        ((draw(), None) for _ in range(cfg.b))
-        if warm and not cfg.refit.iters
-        else _refits(draw, x, theta_hat, cfg, refit_cfg, known, rng)
-    )
+    # each row's posterior is computed on its own, so a resampled row's is
+    # the bits of the row it copies
+    held = None if _post is None or cfg.mode == "parametric" else _post.probs.T
+    theta = _theta(theta_hat)
+    weights, means, _, chols, log_dets = theta
+    log_w, dofs = np.log(weights), [c.dof for c in theta_hat.components]
+
+    def reference(xs, idxs):
+        if held is not None:
+            return np.stack([held[:, idx] for idx in idxs])
+        lw = _log_weighted(np.stack(xs), *(np.broadcast_to(a, (len(xs), *a.shape[1:]))
+                                           for a in (log_w, means, chols, log_dets)), dofs)
+        return _normalize(lw)[0]
+
     sums = np.zeros(len(levels))
-    for xb, probs in refits:
-        ref_probs = posterior_matrix(theta_hat, xb).probs
-        sums += _plugin_fcr_per_level(ref_probs if probs is None else probs, ref_probs, levels)
+    step = max(1, _BLOCK_ELEMENTS // max(1, n * q * q))
+    blocks = _refits(draw, reference, x, theta, dofs[0], cfg, refit_cfg, known, rng)
+    for probs, ref in blocks:
+        refit = np.stack([r if p is None else p.T for p, r in zip(probs, ref)])
+        for a in range(0, len(ref), step):
+            for v in _score_block(refit[a:a + step], ref[a:a + step], levels):
+                sums += v
     fcr_hat = sums / cfg.b
     chosen = choose_level(fcr_hat, alpha)
     if chosen is None:
@@ -359,7 +419,7 @@ def _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, kinds) -> _Calibrated
     fit = fit_mixture(data, q, em_cfg, rng)
     post = posterior_matrix(fit.params, data)
     selections = {k: select_and_label(post, alpha, k) for k in kinds if k in RULES}
-    curves = {m: calibrate_level(data, fit.params, alpha, cfgs[m], em_cfg, rng)
+    curves = {m: calibrate_level(data, fit.params, alpha, cfgs[m], em_cfg, rng, _post=post)
               for m in MODES if m in cfgs}
     selections.update((m, _calibrated_selection(post, alpha, c)) for m, c in curves.items())
     return _CalibratedRun(fit, post, curves, selections)

@@ -426,12 +426,13 @@ def _theta(params: MixtureParams):
 
 
 def _t_values(probs: np.ndarray) -> np.ndarray:
-    """Per row of an (n, Q) probability matrix, ``1 - max_q``, in ``[0, 1 - 1/Q]``.
+    """Per row of an (n, Q) probability matrix, or of each in an (m, n, Q)
+    stack, ``1 - max_q``, in ``[0, 1 - 1/Q]``.
 
     On the transposed view of a component-major (Q, n) array, which EM and
     ``posterior_matrix`` hand out, the max runs over contiguous rows.
     """
-    return np.clip(1.0 - probs.max(axis=1), 0.0, 1.0 - 1.0 / probs.shape[1])
+    return np.clip(1.0 - probs.max(axis=-1), 0.0, 1.0 - 1.0 / probs.shape[-1])
 
 
 def posterior_matrix(params: MixtureParams, data) -> PosteriorMatrix:
@@ -452,13 +453,14 @@ def map_labels(post: PosteriorMatrix) -> np.ndarray:
 
 
 def _map_rows(probs: np.ndarray) -> np.ndarray:
-    """``np.argmax(probs, axis=1)`` of an (n, Q) probability matrix, the lowest
-    index on ties, by compares of whole columns: numpy's ``argmax`` over a
-    short last axis goes one row at a time."""
-    labels = np.zeros(probs.shape[0], dtype=np.int64)
-    top = probs[:, 0]
-    for q in range(1, probs.shape[1]):
-        col = probs[:, q]
+    """``np.argmax(probs, axis=-1)`` of an (n, Q) probability matrix, or of
+    each in an (m, n, Q) stack, the lowest index on ties, by compares of
+    whole columns: numpy's ``argmax`` over a short last axis goes one row at
+    a time."""
+    labels = np.zeros(probs.shape[:-1], dtype=np.int64)
+    top = probs[..., 0]
+    for q in range(1, probs.shape[-1]):
+        col = probs[..., q]
         np.copyto(labels, q, where=col > top)
         top = np.maximum(top, col)
     return labels

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import fcrcluster as fc
 from fcrcluster.bootstrap import (
@@ -10,7 +11,37 @@ from fcrcluster.bootstrap import (
     level_grid,
     write_curve_csv,
 )
-from fcrcluster.bootstrap import _plugin_fcr_per_level
+from fcrcluster.bootstrap import _score_block
+from fcrcluster.mixtures import _map_rows, _t_values
+from fcrcluster.selection import kstar_grid
+
+
+def plugin_fcr_per_level(probs, ref_probs, levels):
+    """Per-level FCR of one resample, minimized over label permutations by the
+    assignment solver: the reference scorer.
+
+    ``probs`` is the refit's posterior on the resample, whose risks and MAP
+    labels the plug-in uses; ``ref_probs`` are the posterior probabilities
+    of the resampled rows under the reference fit (the parameters estimated
+    on the original data), which stand in for the truth.
+    """
+    n, qn = ref_probs.shape
+    order, _, ks = kstar_grid(_t_values(probs), levels)
+    # cumulative per-class posterior mass along the selection order:
+    # cum[k-1, c, r] = sum over the k lowest-risk items with predicted class
+    # c of the reference posterior for class r
+    one_hot = np.zeros((n, qn))
+    one_hot[np.arange(n), _map_rows(probs)[order]] = 1.0
+    contrib = one_hot[:, :, None] * ref_probs[order][:, None, :]
+    cum = np.cumsum(contrib, axis=0)
+    values = np.zeros(len(levels))
+    for j, k in enumerate(ks):
+        if k == 0:
+            continue
+        gain = cum[k - 1]
+        rows, cols = linear_sum_assignment(-gain)
+        values[j] = (k - float(gain[rows, cols].sum())) / k
+    return values
 
 
 def fitted_pair(eps=4.0, n=200, seed=0):
@@ -70,7 +101,8 @@ class TestEstimator:
         _, _, x, params = fitted_pair(eps=2.0, n=150, seed=3)
         post = fc.posterior_matrix(params, x)
         for alpha in (0.05, 0.1, 0.2):
-            vals = _plugin_fcr_per_level(post.probs, post.probs, np.array([alpha]))
+            cm = post.probs.T[None]
+            vals = _score_block(cm, cm, np.array([alpha]))[0]
             sel = fc.cumulative_select(post.t_values, alpha)
             expected = (
                 post.t_values[sel.selected].mean() if sel.k_star else 0.0
@@ -83,6 +115,164 @@ class TestEstimator:
         curve = fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=1),
                                    np.random.default_rng(5))
         assert curve.fcr_hat[0] < 0.05
+
+
+def score_pairs(rng, m, n, q, pick=None):
+    """m seeded (refit, reference) posterior pairs of shape (n, q); with
+    ``pick``, every row of both is one of those rows, so risks tie."""
+    def rows():
+        if pick is None:
+            return rng.dirichlet(np.ones(q), size=n)
+        return np.asarray(pick, dtype=float)[rng.integers(0, len(pick), size=n)]
+    return [(rows(), rows()) for _ in range(m)]
+
+
+def assert_scores_match_reference(pairs, levels):
+    """``_score_block`` on the stacked pairs equals the assignment-solver
+    reference on each pair, bit for bit."""
+    probs = np.stack([p.T for p, _ in pairs])
+    ref = np.stack([r.T for _, r in pairs])
+    expected = np.stack([plugin_fcr_per_level(p, r, levels) for p, r in pairs])
+    assert np.array_equal(_score_block(probs, ref, levels), expected)
+    return expected
+
+
+class TestBlockScorer:
+    """The block scorer is the per-resample assignment-solver scorer, bit for bit."""
+
+    @pytest.mark.parametrize("q", [1, 2, 3, 4])
+    def test_random_posteriors(self, q):
+        rng = np.random.default_rng(40 + q)
+        levels = np.concatenate([[1e-9], level_grid(0.3)])
+        for n in (1, 7, 150):
+            expected = assert_scores_match_reference(score_pairs(rng, 12, n, q), levels)
+            if q > 1 and n > 1:
+                assert (expected[:, 0] == 0.0).all() and (expected[:, -1] > 0.0).any()
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_no_level_selects_anything(self, q):
+        # every risk exceeds every level: k* = 0 everywhere scores 0
+        rng = np.random.default_rng(7)
+        flat = np.full(q, 1.0 / q) + rng.uniform(-1e-3, 1e-3, size=(20, q))
+        pairs = [(flat / flat.sum(axis=1, keepdims=True), flat[::-1].copy())] * 3
+        expected = assert_scores_match_reference(pairs, np.array([0.01, 0.05]))
+        assert not expected.any()
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_tied_risks(self, q):
+        # rows drawn from a few posteriors, two of them with equal risk: the
+        # selection order among tied risks is the stable order
+        rng = np.random.default_rng(11)
+        base = rng.dirichlet(np.ones(q), size=3)
+        pick = np.vstack([base, base[0][::-1], np.eye(q)[0]])
+        assert_scores_match_reference(score_pairs(rng, 10, 60, q, pick), level_grid(0.4))
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_label_permutations_of_equal_gain(self, q):
+        # dyadic posteriors sum exactly, so several label permutations reach
+        # the same best gain to the bit
+        rng = np.random.default_rng(5)
+        rows = [[0.75, 0.25], [0.875, 0.125]] if q == 2 else [[0.5, 0.25, 0.25],
+                                                             [0.75, 0.125, 0.125]]
+        pick = [np.roll(r, s) for r in rows for s in range(q)] + [[0.5, 0.5] + [0.0] * (q - 2)]
+        pairs = score_pairs(rng, 16, 10 * q, q, pick)
+        # and a constructed pair: the items predicted in classes 0 and 1 carry
+        # equal reference mass of both, so swapping labels 0 and 1 ties
+        ref_rows = np.eye(q)
+        ref_rows[:2, :2] = 0.5
+        pairs.append((np.tile(0.8 * np.eye(q) + 0.2 / q, (10, 1)), np.tile(ref_rows, (10, 1))))
+        assert_scores_match_reference(pairs, level_grid(0.5))
+
+
+def reference_case(family, structure, d):
+    """Rows and a 3-component fit of them, for the reference-posterior pins."""
+    rng = np.random.default_rng(d)
+    centers = 3.0 * rng.normal(size=(3, d))
+    x = centers[rng.integers(0, 3, size=90)] + rng.standard_t(5, size=(90, d))
+    em = fc.EmConfig(family=family, structure=structure, n_starts=2, max_iter=30)
+    return x, em, fc.fit_mixture(x, 3, em, np.random.default_rng(d)).params
+
+
+REFERENCE_CASES = [("gaussian", "diagonal", 2), ("student", "full", 4),
+                   ("gaussian", "diagonal", 20)]
+
+
+def captured_references(monkeypatch):
+    """The reference posteriors of every block the scorer sees, in draw order."""
+    refs, score = [], fc.bootstrap._score_block
+
+    def spy(probs, ref, levels):
+        refs.extend(ref)
+        return score(probs, ref, levels)
+
+    monkeypatch.setattr(fc.bootstrap, "_score_block", spy)
+    return refs
+
+
+class TestReferencePosteriors:
+    """A resample's reference posterior, gathered or stacked, is the bits of
+    ``posterior_matrix`` under the original fit on that resample."""
+
+    @pytest.mark.parametrize("family, structure, d", REFERENCE_CASES)
+    def test_gathered_reference_posteriors(self, monkeypatch, family, structure, d):
+        x, em, params = reference_case(family, structure, d)
+        post = fc.posterior_matrix(params, x)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            idx = rng.integers(0, len(x), size=len(x))
+            assert np.array_equal(post.probs[idx], fc.posterior_matrix(params, x[idx]).probs)
+        # a row-resampling calibration given the fit's posterior gathers from
+        # it, and one without stacks each block's rows: the same curve
+        refs = captured_references(monkeypatch)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=8, refit=WarmStart(2))
+        gathered = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2),
+                                      _post=post)
+        gathered_refs = refs[:]
+        refs.clear()
+        stacked = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
+        assert len(gathered_refs) == len(refs) == 8
+        assert all(np.array_equal(a, b) for a, b in zip(gathered_refs, refs))
+        assert np.array_equal(gathered.fcr_hat, stacked.fcr_hat)
+
+    def test_far_row_in_a_reference_raises_at_its_resample(self, monkeypatch):
+        # with no refit iterations only the original fit's posterior sees a
+        # row that underflows under every component: the block's reference
+        # posteriors raise, and redone one resample at a time the error comes
+        # at the resample where it comes one at a time
+        _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 40,
+                                 np.random.default_rng(0))
+        em = fc.EmConfig(structure="diagonal", n_starts=2)
+        params = fc.fit_mixture(x, 2, em, np.random.default_rng(1)).params
+        x = np.vstack([x, [[1e160, 0.0]]])
+        rng, scored = np.random.default_rng(18), 0
+        with pytest.raises(ValueError, match="too far from every mixture component") as alone:
+            for _ in range(30):
+                fc.posterior_matrix(params, fc.resample(x, params, "nonparametric", rng))
+                scored += 1
+        assert scored > 0
+        refs = captured_references(monkeypatch)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=WarmStart(0))
+        with pytest.raises(ValueError) as stacked:
+            fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(18))
+        assert str(stacked.value) == str(alone.value)
+        assert len(refs) == scored
+
+    @pytest.mark.parametrize("family, structure, d", REFERENCE_CASES)
+    def test_stacked_reference_posteriors(self, monkeypatch, family, structure, d):
+        x, em, params = reference_case(family, structure, d)
+        refs = captured_references(monkeypatch)
+        draws, resample = [], fc.bootstrap.resample
+
+        def counted_resample(*args):
+            draws.append(resample(*args))
+            return draws[-1]
+
+        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
+        cfg = fc.BootstrapConfig(mode="parametric", b=8, refit=WarmStart(2))
+        fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(3))
+        assert len(refs) == len(draws) == 8
+        for ref, xb in zip(refs, draws):
+            assert np.array_equal(ref, fc.posterior_matrix(params, xb).probs.T)
 
 
 class TestChooseLevel:
@@ -140,6 +330,12 @@ class TestCalibration:
         with pytest.raises(ValueError, match="increasing"):
             cfg.validate()
 
+    @pytest.mark.parametrize("grid", [[np.nan], [0.05, np.nan]], ids=["nan", "then_nan"])
+    def test_nan_grid_level_rejected(self, grid):
+        # NaN fails every comparison, so it used to pass both range checks
+        with pytest.raises(ValueError, match=r"grid levels must lie in \(0, 1\)"):
+            fc.BootstrapConfig(grid=grid).validate()
+
     @pytest.mark.parametrize("level", [1.5, 0.0])
     @pytest.mark.parametrize("grid", [None, [0.05]], ids=["calibrate_level", "one_level"])
     def test_level_checked_before_resampling(self, monkeypatch, grid, level):
@@ -189,7 +385,7 @@ def sequential_curve(x, params, levels, mode, b, refit_cfg, seed, keep_original=
         if i in keep_original:
             theta_b = params
         probs = fc.posterior_matrix(theta_b, xb).probs
-        sums += _plugin_fcr_per_level(probs, fc.posterior_matrix(params, xb).probs, levels)
+        sums += plugin_fcr_per_level(probs, fc.posterior_matrix(params, xb).probs, levels)
     return sums / b, logged
 
 
@@ -204,7 +400,7 @@ def sequential_warm_curve(x, params, levels, mode, b, em, iters, seed):
         state = rng.bit_generator.state
         probs = fc.posterior_matrix(fc.em_steps(xb, params, em, iters, rng), xb).probs
         reinits += rng.bit_generator.state != state
-        sums += _plugin_fcr_per_level(probs, fc.posterior_matrix(params, xb).probs, levels)
+        sums += plugin_fcr_per_level(probs, fc.posterior_matrix(params, xb).probs, levels)
     return sums / b, reinits
 
 
@@ -232,11 +428,13 @@ class TestWarmRefits:
 
     @pytest.mark.parametrize("refit", [WarmStart(3), FullRefit()])
     def test_refits_build_no_mixture_params(self, monkeypatch, refit):
-        # B resamples: one posterior each, under the original fit, and no
-        # refit builds parameters
+        # B resamples drawn, no refit builds parameters, and no resample
+        # makes a posterior call: a block's reference posteriors under the
+        # original fit come from one stacked density pass
         _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
-        built, posteriors = [], []
+        built, posteriors, draws = [], [], []
         post_init, posterior = fc.MixtureParams.__post_init__, fc.bootstrap.posterior_matrix
+        resample = fc.bootstrap.resample
 
         def counting_init(self):
             built.append(self)
@@ -246,13 +444,18 @@ class TestWarmRefits:
             posteriors.append(theta)
             return posterior(theta, data)
 
+        def counting_resample(*args):
+            draws.append(resample(*args))
+            return draws[-1]
+
         monkeypatch.setattr(fc.MixtureParams, "__post_init__", counting_init)
         monkeypatch.setattr(fc.bootstrap, "posterior_matrix", counting_posterior)
+        monkeypatch.setattr(fc.bootstrap, "resample", counting_resample)
         cfg = fc.BootstrapConfig(b=6, refit=refit)
         fc.calibrate_level(x, params, 0.1, cfg, fc.EmConfig(n_starts=2, max_iter=20),
                            np.random.default_rng(1))
         assert built == []
-        assert len(posteriors) == 6 and all(theta is params for theta in posteriors)
+        assert posteriors == [] and len(draws) == 6
 
 
 def far_row_fit(family, structure):
@@ -314,8 +517,9 @@ class TestSpeculativeWarmStacks:
             x, params, curve.levels, mode, 40, em, 10, 2)
         assert np.array_equal(curve.fcr_hat, expected)
         if (family, mode) == ("student", "nonparametric"):
-            # every refit draws a reinit, so no block grows past one resample
-            assert reinits == 40 and stacks == []
+            # every refit draws a reinit, so the first block, at the bound,
+            # keeps only its first resample and every later block holds one
+            assert reinits == 40 and stacks == [(4, [0, 1, 2, 3])]
         else:
             assert 0 < reinits < 40 and stacks
 
@@ -344,9 +548,8 @@ class TestSpeculativeWarmStacks:
                 fc.em_steps(draws[-1], params, em, 5, rng)
         assert len(draws) == 5
 
-        best, resample, warm_runs = (
-            fc.bootstrap._best, fc.bootstrap.resample, fc.bootstrap._warm_runs)
-        fits, drawn, raised = [], [], []
+        best, warm_runs = fc.bootstrap._best, fc.bootstrap._warm_runs
+        fits, stacked_rows, raised = [], [], []
 
         def failing_best(runs):  # the fourth refit fails: one warning
             fits.append(None)
@@ -354,11 +557,8 @@ class TestSpeculativeWarmStacks:
                 raise np.linalg.LinAlgError("boom")
             return best(runs)
 
-        def counted_resample(*args):
-            drawn.append(resample(*args))
-            return drawn[-1]
-
         def spy(x, theta, dof, cfg, n_iter, known, streams):
+            stacked_rows.append(x)
             try:
                 return warm_runs(x, theta, dof, cfg, n_iter, known, streams)
             except ValueError:
@@ -366,16 +566,15 @@ class TestSpeculativeWarmStacks:
                 raise
 
         monkeypatch.setattr(fc.bootstrap, "_best", failing_best)
-        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
         monkeypatch.setattr(fc.bootstrap, "_warm_runs", spy)
         cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=WarmStart(5))
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
             with pytest.raises(ValueError) as stacked:
                 fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(18))
         assert str(stacked.value) == str(alone.value)
-        assert np.array_equal(drawn[-1], draws[-1])
+        assert np.array_equal(stacked_rows[-1], draws[-1][None])
         assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
-        assert raised == [4, 1]  # a block of four, then resample 4 alone
+        assert raised == [30, 1]  # the first block, all 30, then resample 4 alone
 
     def test_calibration_iterates_warm_stacks(self, monkeypatch):
         _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
@@ -410,13 +609,13 @@ class TestStackedRefits:
         em = fc.EmConfig(structure="known", known_covariances=(np.eye(2), 2.0 * np.eye(2)),
                          n_starts=2, max_iter=20)
         params = fc.fit_mixture(x, 2, em, np.random.default_rng(0)).params
-        resample, draws = fc.bootstrap.resample, []
+        fit_runs, draws = fc.bootstrap._fit_runs, []
 
-        def counted_resample(*args):
-            draws.append(resample(*args))
-            return draws[-1]
+        def spy(xs, q, cfg, known, streams):  # each resample's rows, once per start
+            draws.extend(xs[::2])
+            return fit_runs(xs, q, cfg, known, streams)
 
-        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
+        monkeypatch.setattr(fc.bootstrap, "_fit_runs", spy)
         cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit())
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
             curve = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(0))

@@ -393,3 +393,19 @@ def test_import_leaves_scipy_optimize_and_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+    # the bootstrap scores two and three components without the solver
+    code = (
+        "import sys, numpy as np, fcrcluster as fc\n"
+        "_, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 80,"
+        " np.random.default_rng(0))\n"
+        "em = fc.EmConfig(n_starts=2, max_iter=20)\n"
+        "params = fc.fit_mixture(x, 2, em, np.random.default_rng(1)).params\n"
+        "for mode in ('parametric', 'nonparametric'):\n"
+        "    for refit in (fc.WarmStart(3), fc.FullRefit()):\n"
+        "        cfg = fc.BootstrapConfig(mode=mode, b=4, refit=refit)\n"
+        "        fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))\n"
+        "print('scipy.optimize' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -196,8 +196,8 @@ class TestKmeansppInit:
 
 def test_runs_read_their_rows_as_one_stack(monkeypatch):
     # the starts of a fit read the caller's rows through one zero-stride
-    # view, with no copy; warm refits that draw no reinit iterate blocks of
-    # one resample, then two, then the one left, each run on its own rows
+    # view, with no copy; warm refits that draw no reinit iterate one block
+    # of all four resamples, each run on its own rows
     seen = []
     e_step = fc.em._e_step
 
@@ -213,8 +213,7 @@ def test_runs_read_their_rows_as_one_stack(monkeypatch):
     seen.clear()
     boot = fc.BootstrapConfig(b=4, refit=fc.WarmStart(3))
     fc.calibrate_level(x, fit.params, 0.1, boot, EmConfig(), np.random.default_rng(1))
-    blocks = [1] * 4 + [2] * 4 + [1] * 4
-    assert [s.shape for s in seen] == [(r, *x.shape) for r in blocks]
+    assert [s.shape for s in seen] == [(4, *x.shape)] * 4
 
 
 
