@@ -14,10 +14,10 @@ one resample at a time: full refits draw from streams spawned in order, and
 warm refits, whose reinits draw from the bootstrap stream itself, stack on
 the guess that they draw nothing and keep the block up to the first that did.
 A block is scored in one pass: its reference posteriors under the original
-fit are rows gathered from the fit's posterior on the data (row resampling)
-or one stacked density pass (model draws), and the plug-in FCR of all its
-resamples at every grid level comes from one sort, one cumulative sum and,
-for at most three components, the best of the label permutations.
+fit come from one stacked density pass, and the plug-in FCR of all its
+resamples at every grid level from one cumulative sum of the reference mass
+along each resample's selection order and, for at most three components,
+the best of the label permutations.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from .selection import (
     _check_alpha,
     cumulative_select,
     empty_selection,
+    kstar_grid,
     select_and_label,
 )
 
@@ -162,8 +163,8 @@ def _score_block(probs: np.ndarray, ref: np.ndarray, levels: np.ndarray) -> np.n
     risks and MAP labels the plug-in uses; ``ref`` (m, Q, n) the posteriors
     of the resampled rows under the reference fit (the parameters estimated
     on the original data), which stand in for the truth.  Each resample is
-    scored as the cumulative rule scores it alone: a stable sort of its
-    risks, prefix means searched at each level for k*, and at k* the gain
+    scored as the cumulative rule scores it alone, its selection order and
+    k* at each level from ``kstar_grid``, and at k* the gain
     ``G[c, r]``, the reference mass of class r summed in selection order over
     the selected items with MAP class c.  The estimate is
     ``(k* - max over permutations s of sum_c G[c, s(c)]) / k*``: the best of
@@ -171,11 +172,9 @@ def _score_block(probs: np.ndarray, ref: np.ndarray, levels: np.ndarray) -> np.n
     assignment solver above.
     """
     m, q, n = ref.shape
-    t = _t_values(probs.transpose(0, 2, 1))
-    order = np.argsort(t, axis=1, kind="stable")
-    means = np.cumsum(np.take_along_axis(t, order, axis=1), axis=1) / np.arange(1, n + 1)
-    # prefix means of ascending risks are non-decreasing: k* is a searchsorted count
-    ks = np.array([np.searchsorted(row, levels, side="right") for row in means])
+    grids = [kstar_grid(t, levels) for t in _t_values(probs.transpose(0, 2, 1))]
+    order = np.stack([g[0] for g in grids])
+    ks = np.stack([g[2] for g in grids])
     values = np.zeros((m, len(levels)))
     if not ks.any():
         return values
@@ -231,7 +230,7 @@ class _SavedStream:
 def _refits(draw, reference, x, theta, dof, cfg, refit_cfg, known, rng):
     """Blocks of resamples in draw order, each as its refits' posteriors
     (``None``: the original fit stands in) and the (m, Q, n) stack of its
-    resamples' reference posteriors, ``reference(xs, idxs)``.
+    resamples' reference posteriors, ``reference(xs)``.
 
     Every draw is the one a refit done right after its resample makes.  Full
     refits spawn each resample's start streams right after drawing it.  Warm
@@ -244,7 +243,9 @@ def _refits(draw, reference, x, theta, dof, cfg, refit_cfg, known, rng):
     ``_BLOCK_ELEMENTS`` sets; a warm block is cut to max(1, k) after a reinit
     and doubles, up to the bound, after a block with none.  A block of
     several whose stack or reference posteriors raise is redone one resample
-    at a time, so an error surfaces where it would, after the same warnings.
+    at a time, up to its first run that drew a reinit (the runs after it
+    refit resamples never drawn), so an error surfaces where it would, after
+    the same warnings.
     """
     warm = isinstance(cfg.refit, WarmStart)
     q, starts = theta[0].shape[1], 1 if warm else refit_cfg.n_starts
@@ -260,33 +261,36 @@ def _refits(draw, reference, x, theta, dof, cfg, refit_cfg, known, rng):
         return _warm_runs(np.stack(xs), block, dof, refit_cfg, cfg.refit.iters, known,
                           streams)
 
+    def first_reinit(streams, m):
+        """The first of m warm runs that drew a reinit, m when none did."""
+        return next((i for i, s in enumerate(streams) if warm and s.drew), m)
+
     done, size, alone = 0, bound, 0
     while done < cfg.b:
         m = min(1 if alone else size, cfg.b - done)
-        start, xs, idxs, streams = rng.bit_generator.state, [], [], []
+        start, xs, streams = rng.bit_generator.state, [], []
         for _ in range(m):
-            xb, idx = draw()
-            xs.append(xb)
-            idxs.append(idx)
+            xs.append(draw())
             streams += [_SavedStream(rng)] if warm else rng.spawn(starts)
         try:
             runs = stack(xs, streams)
-            k = next((i for i, s in enumerate(streams) if s.drew), m) if warm else m
+            k = first_reinit(streams, m)
             kept = min(k + 1, m)
             # a lone resample's reference posterior is computed after its
             # refit's warning is logged, as one resample at a time does
-            ref = reference(xs[:kept], idxs[:kept]) if m > 1 else None
+            ref = reference(xs[:kept]) if m > 1 else None
         except (ValueError, np.linalg.LinAlgError):
             if m == 1:
                 raise
-            rng.bit_generator.state, alone = start, m
+            rng.bit_generator.state = start
+            alone = min(first_reinit(streams, m) + 1, m)
             continue
         if warm:
             rng.bit_generator.state = streams[kept - 1].state
             size = max(1, k) if k < m else min(2 * m, bound)
         probs = [None if runs is None else _refit_probs(runs[i * starts:(i + 1) * starts])
                  for i in range(kept)]
-        yield probs, ref if m > 1 else reference(xs, idxs)
+        yield probs, ref if m > 1 else reference(xs)
         done, alone = done + kept, max(alone - 1, 0)
 
 
@@ -297,8 +301,6 @@ def calibrate_level(
     cfg: BootstrapConfig,
     em_cfg: EmConfig | None = None,
     rng: np.random.Generator | None = None,
-    *,
-    _post: PosteriorMatrix | None = None,
 ) -> BootstrapCurve:
     """Estimate the FCR along the level grid and pick the working level.
 
@@ -307,9 +309,7 @@ def calibrate_level(
     level whose estimate is at or below ``alpha`` (``None`` when even the
     smallest level overshoots).  A one-level grid, ``grid=[alpha_prime]``,
     gives the bootstrap estimate of the FCR the plug-in achieves at
-    ``alpha_prime`` as ``fcr_hat[0]``.  ``_post``, private, is the posterior
-    of ``data`` under ``theta_hat`` when the caller holds it: row resampling
-    then gathers its reference posteriors from it.
+    ``alpha_prime`` as ``fcr_hat[0]``.
     """
     cfg.validate()
     alpha = _check_alpha(alpha)
@@ -331,22 +331,13 @@ def calibrate_level(
     )
 
     def draw():
-        """A resample and, for row resampling, the indices of its rows."""
-        if cfg.mode == "parametric":
-            return resample(x, theta_hat, cfg.mode, rng), None
-        idx = rng.integers(0, n, size=n)
-        return x[idx], idx
+        return resample(x, theta_hat, cfg.mode, rng)
 
-    # each row's posterior is computed on its own, so a resampled row's is
-    # the bits of the row it copies
-    held = None if _post is None or cfg.mode == "parametric" else _post.probs.T
     theta = _theta(theta_hat)
     weights, means, _, chols, log_dets = theta
     log_w, dofs = np.log(weights), [c.dof for c in theta_hat.components]
 
-    def reference(xs, idxs):
-        if held is not None:
-            return np.stack([held[:, idx] for idx in idxs])
+    def reference(xs):
         lw = _log_weighted(np.stack(xs), *(np.broadcast_to(a, (len(xs), *a.shape[1:]))
                                            for a in (log_w, means, chols, log_dets)), dofs)
         return _normalize(lw)[0]
@@ -419,7 +410,7 @@ def _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, kinds) -> _Calibrated
     fit = fit_mixture(data, q, em_cfg, rng)
     post = posterior_matrix(fit.params, data)
     selections = {k: select_and_label(post, alpha, k) for k in kinds if k in RULES}
-    curves = {m: calibrate_level(data, fit.params, alpha, cfgs[m], em_cfg, rng, _post=post)
+    curves = {m: calibrate_level(data, fit.params, alpha, cfgs[m], em_cfg, rng)
               for m in MODES if m in cfgs}
     selections.update((m, _calibrated_selection(post, alpha, c)) for m, c in curves.items())
     return _CalibratedRun(fit, post, curves, selections)

@@ -210,29 +210,9 @@ def captured_references(monkeypatch):
 
 
 class TestReferencePosteriors:
-    """A resample's reference posterior, gathered or stacked, is the bits of
-    ``posterior_matrix`` under the original fit on that resample."""
-
-    @pytest.mark.parametrize("family, structure, d", REFERENCE_CASES)
-    def test_gathered_reference_posteriors(self, monkeypatch, family, structure, d):
-        x, em, params = reference_case(family, structure, d)
-        post = fc.posterior_matrix(params, x)
-        rng = np.random.default_rng(1)
-        for _ in range(20):
-            idx = rng.integers(0, len(x), size=len(x))
-            assert np.array_equal(post.probs[idx], fc.posterior_matrix(params, x[idx]).probs)
-        # a row-resampling calibration given the fit's posterior gathers from
-        # it, and one without stacks each block's rows: the same curve
-        refs = captured_references(monkeypatch)
-        cfg = fc.BootstrapConfig(mode="nonparametric", b=8, refit=WarmStart(2))
-        gathered = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2),
-                                      _post=post)
-        gathered_refs = refs[:]
-        refs.clear()
-        stacked = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
-        assert len(gathered_refs) == len(refs) == 8
-        assert all(np.array_equal(a, b) for a, b in zip(gathered_refs, refs))
-        assert np.array_equal(gathered.fcr_hat, stacked.fcr_hat)
+    """A resample's reference posterior, from one stacked density pass per
+    block, is the bits of ``posterior_matrix`` under the original fit on that
+    resample."""
 
     def test_far_row_in_a_reference_raises_at_its_resample(self, monkeypatch):
         # with no refit iterations only the original fit's posterior sees a
@@ -257,8 +237,9 @@ class TestReferencePosteriors:
         assert str(stacked.value) == str(alone.value)
         assert len(refs) == scored
 
+    @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     @pytest.mark.parametrize("family, structure, d", REFERENCE_CASES)
-    def test_stacked_reference_posteriors(self, monkeypatch, family, structure, d):
+    def test_stacked_reference_posteriors(self, monkeypatch, family, structure, d, mode):
         x, em, params = reference_case(family, structure, d)
         refs = captured_references(monkeypatch)
         draws, resample = [], fc.bootstrap.resample
@@ -268,7 +249,7 @@ class TestReferencePosteriors:
             return draws[-1]
 
         monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
-        cfg = fc.BootstrapConfig(mode="parametric", b=8, refit=WarmStart(2))
+        cfg = fc.BootstrapConfig(mode=mode, b=8, refit=WarmStart(2))
         fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(3))
         assert len(refs) == len(draws) == 8
         for ref, xb in zip(refs, draws):
@@ -548,8 +529,9 @@ class TestSpeculativeWarmStacks:
                 fc.em_steps(draws[-1], params, em, 5, rng)
         assert len(draws) == 5
 
-        best, warm_runs = fc.bootstrap._best, fc.bootstrap._warm_runs
-        fits, stacked_rows, raised = [], [], []
+        best, resample, warm_runs = (
+            fc.bootstrap._best, fc.bootstrap.resample, fc.bootstrap._warm_runs)
+        fits, drawn, raised = [], [], []
 
         def failing_best(runs):  # the fourth refit fails: one warning
             fits.append(None)
@@ -557,8 +539,11 @@ class TestSpeculativeWarmStacks:
                 raise np.linalg.LinAlgError("boom")
             return best(runs)
 
+        def counted_resample(*args):
+            drawn.append(resample(*args))
+            return drawn[-1]
+
         def spy(x, theta, dof, cfg, n_iter, known, streams):
-            stacked_rows.append(x)
             try:
                 return warm_runs(x, theta, dof, cfg, n_iter, known, streams)
             except ValueError:
@@ -566,15 +551,42 @@ class TestSpeculativeWarmStacks:
                 raise
 
         monkeypatch.setattr(fc.bootstrap, "_best", failing_best)
+        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
         monkeypatch.setattr(fc.bootstrap, "_warm_runs", spy)
         cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=WarmStart(5))
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
             with pytest.raises(ValueError) as stacked:
                 fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(18))
         assert str(stacked.value) == str(alone.value)
-        assert np.array_equal(stacked_rows[-1], draws[-1][None])
+        assert np.array_equal(drawn[-1], draws[-1])
         assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
         assert raised == [30, 1]  # the first block, all 30, then resample 4 alone
+
+    def test_stack_error_after_a_reinit_redoes_only_the_runs_up_to_it(self, monkeypatch):
+        # a stack that raises is redone one resample at a time up to its first
+        # run that drew a reinit; later runs refit resamples never drawn, so
+        # stacking resumes after it
+        x, em, params = far_row_fit("gaussian", "diagonal")
+        sizes, firsts, warm_runs = [], [], fc.bootstrap._warm_runs
+
+        def spy(x, theta, dof, cfg, n_iter, known, streams):
+            runs = warm_runs(x, theta, dof, cfg, n_iter, known, streams)
+            sizes.append(len(runs))
+            if len(sizes) == 1:
+                firsts.append(next(i for i, s in enumerate(streams) if s.drew))
+                raise ValueError("stack failed after its runs")
+            return runs
+
+        monkeypatch.setattr(fc.bootstrap, "_warm_runs", spy)
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=40, refit=WarmStart(10))
+        curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
+        expected, _ = sequential_warm_curve(
+            x, params, curve.levels, "nonparametric", 40, em, 10, 2)
+        assert np.array_equal(curve.fcr_hat, expected)
+        (k,) = firsts
+        assert sizes[0] == 40 and k < 39
+        assert sizes[1:k + 2] == [1] * (k + 1)
+        assert max(sizes[k + 2:]) > 1
 
     def test_calibration_iterates_warm_stacks(self, monkeypatch):
         _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
@@ -609,13 +621,13 @@ class TestStackedRefits:
         em = fc.EmConfig(structure="known", known_covariances=(np.eye(2), 2.0 * np.eye(2)),
                          n_starts=2, max_iter=20)
         params = fc.fit_mixture(x, 2, em, np.random.default_rng(0)).params
-        fit_runs, draws = fc.bootstrap._fit_runs, []
+        resample, draws = fc.bootstrap.resample, []
 
-        def spy(xs, q, cfg, known, streams):  # each resample's rows, once per start
-            draws.extend(xs[::2])
-            return fit_runs(xs, q, cfg, known, streams)
+        def counted_resample(*args):
+            draws.append(resample(*args))
+            return draws[-1]
 
-        monkeypatch.setattr(fc.bootstrap, "_fit_runs", spy)
+        monkeypatch.setattr(fc.bootstrap, "resample", counted_resample)
         cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit())
         with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
             curve = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(0))
