@@ -8,16 +8,14 @@ estimate stays at or below the target.
 
 Resamples and refits are shared across grid levels: moving along the grid
 only moves the selection threshold, which changes no expectation and cuts
-the cost by a factor of the grid size.  The refits of a block of resamples
-iterate as one EM stack, with the draws and the estimates of refits done
-one resample at a time: full refits draw from streams spawned in order, and
-warm refits, whose reinits draw from the bootstrap stream itself, stack on
-the guess that they draw nothing and keep the block up to the first that did.
-A block is scored in one pass: its reference posteriors under the original
-fit come from one stacked density pass, and the plug-in FCR of all its
-resamples at every grid level from one cumulative sum of the reference mass
-along each resample's selection order and, for at most three components,
-the best of the label permutations.
+the cost by a factor of the grid size.  One loop, ``_refits``, draws the
+resamples in blocks under one budget and one size rule, iterates a block's
+refits as one EM stack, with the draws and the estimates of refits done one
+resample at a time, and takes the block's reference posteriors under the
+original fit in one stacked density pass.  ``_score_block`` then scores the
+plug-in FCR of all its resamples at every grid level from one cumulative sum
+of the reference mass along each resample's selection order and, for at most
+three components, the best of the label permutations.
 """
 
 from __future__ import annotations
@@ -28,10 +26,12 @@ from itertools import permutations
 
 import numpy as np
 
-from .em import EmConfig, FitResult, _best, _fit_runs, _known_factors, _warm_runs, fit_mixture
+from .em import (EmConfig, FitResult, _best, _check_rows, _fit_runs, _known_factors, _warm_dof,
+                 _warm_runs, fit_mixture)
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
+    _check_width,
     _log_weighted,
     _map_rows,
     _normalize,
@@ -57,9 +57,9 @@ logger = logging.getLogger(__name__)
 
 MODES = ("parametric", "nonparametric")
 
-# The refits of a calibration iterate as stacks of at most this many floats
-# of per-run data (rows times columns plus components), resamples whole, and
-# are scored in pieces of at most this many cumulative gains (rows times Q**2).
+# A block of resamples, kept whole, holds at most this many floats of each of
+# two per-resample kinds: the EM stack's data (rows times columns plus
+# components, per start) and the scorer's cumulative gains (rows times Q**2).
 _BLOCK_ELEMENTS = 1 << 20
 
 
@@ -163,7 +163,7 @@ def _score_block(probs: np.ndarray, ref: np.ndarray, levels: np.ndarray) -> np.n
     risks and MAP labels the plug-in uses; ``ref`` (m, Q, n) the posteriors
     of the resampled rows under the reference fit (the parameters estimated
     on the original data), which stand in for the truth.  Each resample is
-    scored as the cumulative rule scores it alone, its selection order and
+    scored on its own by the cumulative rule: its selection order and
     k* at each level from ``kstar_grid``, and at k* the gain
     ``G[c, r]``, the reference mass of class r summed in selection order over
     the selected items with MAP class c.  The estimate is
@@ -227,10 +227,11 @@ class _SavedStream:
         return row
 
 
-def _refits(draw, reference, x, theta, dof, cfg, refit_cfg, known, rng):
-    """Blocks of resamples in draw order, each as its refits' posteriors
-    (``None``: the original fit stands in) and the (m, Q, n) stack of its
-    resamples' reference posteriors, ``reference(xs)``.
+def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
+    """Blocks of resamples in draw order, each as two (m, Q, n) stacks: the
+    refits' posteriors on the resamples, and the resamples' reference
+    posteriors under ``theta_hat``, the original fit, which stand in for a
+    refit that failed.
 
     Every draw is the one a refit done right after its resample makes.  Full
     refits spawn each resample's start streams right after drawing it.  Warm
@@ -238,60 +239,73 @@ def _refits(draw, reference, x, theta, dof, cfg, refit_cfg, known, rng):
     none: each run draws from where ``rng`` stood after its own resample, so
     up to the first run k that drew, the runs made the sequential draws; the
     runs after it are dropped, and drawing resumes from where refit k left
-    ``rng``.  Warm runs start from ``theta``, the original fit's kernel
-    arrays, with Student-t ``dof``.  Every block starts at the bound that
-    ``_BLOCK_ELEMENTS`` sets; a warm block is cut to max(1, k) after a reinit
-    and doubles, up to the bound, after a block with none.  A block of
-    several whose stack or reference posteriors raise is redone one resample
-    at a time, up to its first run that drew a reinit (the runs after it
-    refit resamples never drawn), so an error surfaces where it would, after
-    the same warnings.
+    ``rng``.  One size rule serves both, with k = m, the block's size, for
+    full refits: a block starts at the bound that ``_BLOCK_ELEMENTS`` sets,
+    is cut to max(1, k) after a reinit at k and to one resample after it
+    raised, and doubles, up to the bound, after a block with neither.
+    Warnings are logged only for blocks that finished, so an error surfaces
+    at the resample where one at a time raises, after the same warnings.
     """
     warm = isinstance(cfg.refit, WarmStart)
-    q, starts = theta[0].shape[1], 1 if warm else refit_cfg.n_starts
-    bound = max(1, _BLOCK_ELEMENTS // max(1, starts * x.shape[0] * (x.shape[1] + q)))
+    (n, d), q = x.shape, theta_hat.q
+    starts = 1 if warm else refit_cfg.n_starts
+    bound = max(1, _BLOCK_ELEMENTS // (n * max(starts * (d + q), q * q)))
+    weights, means, _, chols, log_dets = theta = _theta(theta_hat)
+    kernel = (np.log(weights), means, chols, log_dets)
+    dofs = [c.dof for c in theta_hat.components]
+
+    def reference(xs):
+        block = (np.broadcast_to(a, (len(xs), *a.shape[1:])) for a in kernel)
+        return _normalize(_log_weighted(xs, *block, dofs))[0]
 
     def stack(xs, streams):
         if not warm:
-            return _fit_runs(np.repeat(np.stack(xs), starts, axis=0), q, refit_cfg, known,
-                             streams)
+            return _fit_runs(np.repeat(xs, starts, axis=0), q, refit_cfg, known, streams)
         if not cfg.refit.iters:
             return None
         block = tuple(np.repeat(a, len(xs), axis=0) for a in theta)
-        return _warm_runs(np.stack(xs), block, dof, refit_cfg, cfg.refit.iters, known,
-                          streams)
+        return _warm_runs(xs, block, dofs[0], refit_cfg, cfg.refit.iters, known, streams)
 
-    def first_reinit(streams, m):
-        """The first of m warm runs that drew a reinit, m when none did."""
-        return next((i for i, s in enumerate(streams) if warm and s.drew), m)
-
-    done, size, alone = 0, bound, 0
+    done, size = 0, bound
     while done < cfg.b:
-        m = min(1 if alone else size, cfg.b - done)
+        m = min(size, cfg.b - done)
         start, xs, streams = rng.bit_generator.state, [], []
         for _ in range(m):
-            xs.append(draw())
+            xs.append(resample(x, theta_hat, cfg.mode, rng))
             streams += [_SavedStream(rng)] if warm else rng.spawn(starts)
+        xs = np.stack(xs)
         try:
             runs = stack(xs, streams)
-            k = first_reinit(streams, m)
-            kept = min(k + 1, m)
-            # a lone resample's reference posterior is computed after its
+            k = next((i for i, s in enumerate(streams) if warm and s.drew), m)
+            xs = xs[:k + 1]
+            # a lone resample's reference posterior is taken after its
             # refit's warning is logged, as one resample at a time does
-            ref = reference(xs[:kept]) if m > 1 else None
+            ref = reference(xs) if m > 1 else None
         except (ValueError, np.linalg.LinAlgError):
             if m == 1:
                 raise
-            rng.bit_generator.state = start
-            alone = min(first_reinit(streams, m) + 1, m)
+            rng.bit_generator.state, size = start, 1
             continue
         if warm:
-            rng.bit_generator.state = streams[kept - 1].state
-            size = max(1, k) if k < m else min(2 * m, bound)
+            rng.bit_generator.state = streams[len(xs) - 1].state
+        size = max(1, k) if k < m else min(2 * m, bound)
         probs = [None if runs is None else _refit_probs(runs[i * starts:(i + 1) * starts])
-                 for i in range(kept)]
-        yield probs, ref if m > 1 else reference(xs)
-        done, alone = done + kept, max(alone - 1, 0)
+                 for i in range(len(xs))]
+        ref = reference(xs) if ref is None else ref
+        yield np.stack([r if p is None else p.T for p, r in zip(probs, ref)]), ref
+        done += len(xs)
+
+
+def _refit_settings(cfg: BootstrapConfig, em_cfg: EmConfig | None, q: int, x):
+    """Check ``cfg`` and the rows ``x`` for a calibration of a Q-component
+    fit; return the refit's EM settings (``FullRefit.em``, or the outer
+    ones) and its known factors, checked against Q and the rows' width."""
+    cfg.validate()
+    _check_rows(x, q)
+    em_cfg = em_cfg or EmConfig()
+    refit_cfg = em_cfg if isinstance(cfg.refit, WarmStart) else cfg.refit.em or em_cfg
+    refit_cfg.validate()
+    return refit_cfg, _known_factors(refit_cfg, q, x.shape[1])
 
 
 def calibrate_level(
@@ -311,45 +325,26 @@ def calibrate_level(
     gives the bootstrap estimate of the FCR the plug-in achieves at
     ``alpha_prime`` as ``fcr_hat[0]``.
     """
-    cfg.validate()
     alpha = _check_alpha(alpha)
+    x = validate_data(data)
+    _check_width(x, theta_hat.dim)
+    refit_cfg, known = _refit_settings(cfg, em_cfg, theta_hat.q, x)
+    warm = isinstance(cfg.refit, WarmStart)
+    if warm:
+        _warm_dof(theta_hat)
     levels = (
         np.asarray(cfg.grid, dtype=float) if cfg.grid is not None else level_grid(alpha)
     )
-    x = validate_data(data)
-    warm = isinstance(cfg.refit, WarmStart)
-    em_cfg = em_cfg or EmConfig()
-    refit_cfg = em_cfg if warm else cfg.refit.em or em_cfg
-    refit_cfg.validate()
-    (n, d), q = x.shape, theta_hat.q
-    known = _known_factors(refit_cfg, q, d)
     rng = np.random.default_rng(rng)
     logger.info(
         "bootstrap FCR estimation: mode=%s B=%d refit=%s", cfg.mode, cfg.b,
         f"warm start, {cfg.refit.iters} EM iterations per resample" if warm
         else "full refit per resample",
     )
-
-    def draw():
-        return resample(x, theta_hat, cfg.mode, rng)
-
-    theta = _theta(theta_hat)
-    weights, means, _, chols, log_dets = theta
-    log_w, dofs = np.log(weights), [c.dof for c in theta_hat.components]
-
-    def reference(xs):
-        lw = _log_weighted(np.stack(xs), *(np.broadcast_to(a, (len(xs), *a.shape[1:]))
-                                           for a in (log_w, means, chols, log_dets)), dofs)
-        return _normalize(lw)[0]
-
     sums = np.zeros(len(levels))
-    step = max(1, _BLOCK_ELEMENTS // max(1, n * q * q))
-    blocks = _refits(draw, reference, x, theta, dofs[0], cfg, refit_cfg, known, rng)
-    for probs, ref in blocks:
-        refit = np.stack([r if p is None else p.T for p, r in zip(probs, ref)])
-        for a in range(0, len(ref), step):
-            for v in _score_block(refit[a:a + step], ref[a:a + step], levels):
-                sums += v
+    for refit, ref in _refits(x, theta_hat, cfg, refit_cfg, known, rng):
+        for v in _score_block(refit, ref, levels):
+            sums += v
     fcr_hat = sums / cfg.b
     chosen = choose_level(fcr_hat, alpha)
     if chosen is None:
@@ -385,11 +380,10 @@ def bootstrap_procedure(
 
 @dataclass(frozen=True, eq=False)
 class _CalibratedRun:
-    """One fit of the data, its posterior on them, the curve of each requested
-    bootstrap mode and the selection of each requested rule and mode."""
+    """One fit of the data, the curve of each requested bootstrap mode and
+    the selection of each requested rule and mode."""
 
     fit: FitResult
-    post: PosteriorMatrix
     curves: dict[str, BootstrapCurve]
     selections: dict[str, SelectiveClustering]
 
@@ -403,31 +397,27 @@ def _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, kinds) -> _Calibrated
     calibrations, in ``MODES`` order, draw in turn from ``default_rng(rng)``.
     """
     alpha = _check_alpha(alpha)
+    x = validate_data(data)
     cfgs = {k: replace(boot_cfg, mode=k) for k in kinds if k not in RULES}
     for cfg in cfgs.values():
-        cfg.validate()
+        _refit_settings(cfg, em_cfg, q, x)
     rng = np.random.default_rng(rng)
-    fit = fit_mixture(data, q, em_cfg, rng)
-    post = posterior_matrix(fit.params, data)
+    fit = fit_mixture(x, q, em_cfg, rng)
+    post = posterior_matrix(fit.params, x)
     selections = {k: select_and_label(post, alpha, k) for k in kinds if k in RULES}
-    curves = {m: calibrate_level(data, fit.params, alpha, cfgs[m], em_cfg, rng)
+    curves = {m: calibrate_level(x, fit.params, alpha, cfgs[m], em_cfg, rng)
               for m in MODES if m in cfgs}
-    selections.update((m, _calibrated_selection(post, alpha, c)) for m, c in curves.items())
-    return _CalibratedRun(fit, post, curves, selections)
+    selections.update(
+        (m, clustering_at_calibrated_level(post, alpha, c)) for m, c in curves.items())
+    return _CalibratedRun(fit, curves, selections)
 
 
 def clustering_at_calibrated_level(
-    theta_hat: MixtureParams, data, alpha: float, curve: BootstrapCurve
-) -> SelectiveClustering:
-    """Plug-in selection at the calibrated grid level of ``curve``: the
-    cumulative rule at that level, or nothing when no level is admissible."""
-    return _calibrated_selection(posterior_matrix(theta_hat, data), alpha, curve)
-
-
-def _calibrated_selection(
     post: PosteriorMatrix, alpha: float, curve: BootstrapCurve
 ) -> SelectiveClustering:
-    """``clustering_at_calibrated_level`` from the fit's posterior on the data."""
+    """Plug-in selection, from the fit's posterior ``post`` on the data, at
+    the calibrated grid level of ``curve``: the cumulative rule at that
+    level, or nothing when no level is admissible."""
     selection = (
         empty_selection(post.t_values)
         if curve.chosen_index is None

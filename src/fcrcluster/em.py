@@ -480,6 +480,14 @@ def _best(runs: list[_Run]) -> _Run:
     return best
 
 
+def _check_rows(x: np.ndarray, q: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= q <= n`` for the rows ``x`` (n, d)."""
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    if x.shape[0] < q:
+        raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
+
+
 def fit_mixture(
     data, q: int, config: EmConfig | None = None, rng: np.random.Generator | None = None
 ) -> FitResult:
@@ -492,10 +500,7 @@ def fit_mixture(
     cfg = config or EmConfig()
     cfg.validate()
     x = validate_data(data)
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
-    if x.shape[0] < q:
-        raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
+    _check_rows(x, q)
     streams = np.random.default_rng(rng).spawn(cfg.n_starts)
     best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q, x.shape[1]), streams))
     return FitResult(
@@ -518,10 +523,18 @@ def em_steps(
     the fit loop with ``max_iter=n_iter`` and no early stop."""
     x = validate_data(data)
     _check_width(x, params.dim)
-    dof = params.components[0].dof
+    dof = _warm_dof(params)
     known = _known_factors(cfg, params.q, x.shape[1])
     runs = _warm_runs(x, _theta(params), dof, cfg, n_iter, known, [rng])
     return _to_params(_best(runs).theta, dof, cfg.structure)
+
+
+def _warm_dof(params: MixtureParams) -> float | None:
+    """The one dof of every component, ``None`` for Gaussians, that a warm start keeps."""
+    dofs = {c.dof for c in params.components}
+    if len(dofs) > 1:
+        raise ValueError("a warm start needs components of one kind and dof")
+    return dofs.pop()
 
 
 def _warm_runs(x, theta, dof, cfg: EmConfig, n_iter: int, known, streams) -> list[_Run]:

@@ -403,11 +403,6 @@ def posterior_with_loglik(params: MixtureParams, data) -> tuple[PosteriorMatrix,
     """Posterior matrix together with the data log-likelihood."""
     x = validate_data(data)
     _check_width(x, params.dim)
-    if x.shape[0] == 0:
-        empty = PosteriorMatrix(
-            probs=np.empty((0, params.q)), t_values=np.empty(0)
-        )
-        return empty, 0.0
     weights, means, _, chols, log_dets = _theta(params)
     lw = _log_weighted(
         x[None], np.log(weights), means, chols, log_dets, [c.dof for c in params.components]

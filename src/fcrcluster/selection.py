@@ -71,9 +71,6 @@ def kstar_grid(t_values: np.ndarray, levels: np.ndarray):
     """
     order = np.argsort(t_values, kind="stable")
     csum = np.cumsum(t_values[order])
-    if t_values.size == 0:
-        ks = np.zeros(len(levels), dtype=int)
-        return order, csum, ks
     means = csum / np.arange(1, t_values.size + 1)
     # prefix means of an ascending sequence are non-decreasing, so the
     # largest admissible prefix is a searchsorted count

@@ -182,7 +182,7 @@ def test_criterion_5_bootstrap_recovers_weak_separation():
             fc.sample_fcr(z, plug.labels, plug.selection.selected).sample_fcr
         )
         curve = fc.calibrate_level(x, fit.params, ALPHA, boot_cfg, em_cfg, rng)
-        boot = clustering_at_calibrated_level(fit.params, x, ALPHA, curve)
+        boot = clustering_at_calibrated_level(post, ALPHA, curve)
         boots.append(fc.sample_fcr(z, boot.labels, boot.selection.selected).sample_fcr)
     plugins = np.asarray(plugins)
     boots = np.asarray(boots)

@@ -317,6 +317,25 @@ class TestCalibration:
         with pytest.raises(ValueError, match=r"grid levels must lie in \(0, 1\)"):
             fc.BootstrapConfig(grid=grid).validate()
 
+    @pytest.mark.parametrize("refit", [WarmStart(2), FullRefit()], ids=["warm", "full"])
+    def test_data_checked_before_resampling(self, monkeypatch, refit):
+        # row resampling used to read the first d columns of wider rows, and
+        # fewer rows than components failed every refit or divided by zero
+        _, _, x, params = fitted_pair(eps=2.0, n=60, seed=12)
+
+        def no_resample(*args, **kwargs):
+            raise AssertionError("resampled before the data were checked")
+
+        monkeypatch.setattr(fc.bootstrap, "resample", no_resample)
+        cases = [(np.hstack([x, x[:, :1]]), "data has dimension 3, expected 2"),
+                 (np.empty((0, 2)), "need at least q=2 rows, got 0"),
+                 (x[:1], "need at least q=2 rows, got 1")]
+        for mode in fc.bootstrap.MODES:
+            cfg = fc.BootstrapConfig(mode=mode, b=3, refit=refit)
+            for data, message in cases:
+                with pytest.raises(ValueError, match=message):
+                    fc.calibrate_level(data, params, 0.1, cfg, fc.EmConfig(n_starts=1))
+
     @pytest.mark.parametrize("level", [1.5, 0.0])
     @pytest.mark.parametrize("grid", [None, [0.05]], ids=["calibrate_level", "one_level"])
     def test_level_checked_before_resampling(self, monkeypatch, grid, level):
@@ -471,7 +490,7 @@ class TestSpeculativeWarmStacks:
         # blocks of at most four resamples: the first reinit of a block falls
         # at its first, a middle and its last position, and a block has two
         x, em, params = far_row_fit("gaussian", "diagonal")
-        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 4 * 60 * (2 + 3))
+        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 4 * 60 * 3 * 3)
         stacks = warm_stacks(monkeypatch)
         cfg = fc.BootstrapConfig(mode="nonparametric", b=40, refit=WarmStart(10))
         curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
@@ -490,7 +509,7 @@ class TestSpeculativeWarmStacks:
                              [("gaussian", "diagonal"), ("student", "full")])
     def test_blocks_match_sequential_reference(self, monkeypatch, mode, family, structure):
         x, em, params = far_row_fit(family, structure)
-        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 4 * 60 * (2 + 3))
+        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 4 * 60 * 3 * 3)
         stacks = warm_stacks(monkeypatch)
         cfg = fc.BootstrapConfig(mode=mode, b=40, refit=WarmStart(10))
         curve = fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(2))
@@ -560,12 +579,13 @@ class TestSpeculativeWarmStacks:
         assert str(stacked.value) == str(alone.value)
         assert np.array_equal(drawn[-1], draws[-1])
         assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
-        assert raised == [30, 1]  # the first block, all 30, then resample 4 alone
+        # the first block, all 30; then blocks of one, two and four, the last
+        # holding resample 4; then resample 3 alone, 4 and 5, and 4 alone
+        assert raised == [30, 4, 2, 1]
 
     def test_stack_error_after_a_reinit_redoes_only_the_runs_up_to_it(self, monkeypatch):
-        # a stack that raises is redone one resample at a time up to its first
-        # run that drew a reinit; later runs refit resamples never drawn, so
-        # stacking resumes after it
+        # a stack that raises is drawn again from its start as one resample,
+        # and stacking resumes after it
         x, em, params = far_row_fit("gaussian", "diagonal")
         sizes, firsts, warm_runs = [], [], fc.bootstrap._warm_runs
 
@@ -585,8 +605,8 @@ class TestSpeculativeWarmStacks:
         assert np.array_equal(curve.fcr_hat, expected)
         (k,) = firsts
         assert sizes[0] == 40 and k < 39
-        assert sizes[1:k + 2] == [1] * (k + 1)
-        assert max(sizes[k + 2:]) > 1
+        assert sizes[1] == 1
+        assert max(sizes[2:]) > 1
 
     def test_calibration_iterates_warm_stacks(self, monkeypatch):
         _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
@@ -746,8 +766,9 @@ class TestBootstrapProcedure:
         fit = fc.fit_mixture(x, 2, em, rng)
         curve = fc.calibrate_level(x, fit.params, 0.1, cfg, em, rng)
         assert curve.chosen_index == 0  # separated case: estimate below alpha
-        sc = clustering_at_calibrated_level(fit.params, x, 0.1, curve)
-        plugin = fc.select_and_label(fc.posterior_matrix(fit.params, x), 0.1)
+        post = fc.posterior_matrix(fit.params, x)
+        sc = clustering_at_calibrated_level(post, 0.1, curve)
+        plugin = fc.select_and_label(post, 0.1)
         np.testing.assert_array_equal(sc.selection.selected, plugin.selection.selected)
         np.testing.assert_array_equal(sc.labels, plugin.labels)
 
@@ -756,10 +777,10 @@ class TestBootstrapProcedure:
         curve = fc.BootstrapCurve(
             levels=np.array([0.05, 0.1]), fcr_hat=np.array([0.2, 0.3]), chosen_index=None
         )
-        sc = clustering_at_calibrated_level(params, x, 0.1, curve)
+        post = fc.posterior_matrix(params, x)
+        sc = clustering_at_calibrated_level(post, 0.1, curve)
         assert sc.selection.k_star == 0
         assert sc.labels.shape == (100,)
-        post = fc.posterior_matrix(params, x)
         np.testing.assert_array_equal(sc.labels, fc.map_labels(post))
 
     def test_calibrated_selection_nested_in_plugin(self):
@@ -773,8 +794,9 @@ class TestBootstrapProcedure:
             _, x = fc.sample_mixture(truth, 120, rng)
             fit = fc.fit_mixture(x, 2, em, rng)
             curve = fc.calibrate_level(x, fit.params, 0.1, cfg, em, rng)
-            sc = clustering_at_calibrated_level(fit.params, x, 0.1, curve)
-            plugin = fc.select_and_label(fc.posterior_matrix(fit.params, x), 0.1)
+            post = fc.posterior_matrix(fit.params, x)
+            sc = clustering_at_calibrated_level(post, 0.1, curve)
+            plugin = fc.select_and_label(post, 0.1)
             assert set(sc.selection.selected.tolist()) <= set(
                 plugin.selection.selected.tolist()
             )

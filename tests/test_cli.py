@@ -194,7 +194,7 @@ def test_calibrate_seed_is_the_api_rng(data_csv, tmp_path):
     fit = fc.fit_mixture(x, 2, em, rng)
     curve = fc.calibrate_level(x, fit.params, 0.1, boot, em, rng)
     write_curve_csv(curve, tmp_path / "curve.csv")
-    sc = clustering_at_calibrated_level(fit.params, x, 0.1, curve)
+    sc = clustering_at_calibrated_level(fc.posterior_matrix(fit.params, x), 0.1, curve)
     write_clustering_csv(sc, tmp_path / "labels.csv")
     for name in ("curve.csv", "labels.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes()

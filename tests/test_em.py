@@ -358,6 +358,24 @@ class TestGaussianEm:
             fc.em_steps(x[:, :1], truth, EmConfig(structure=structure), 5,
                         np.random.default_rng(1))
 
+    def test_warm_starts_reject_mixed_families(self):
+        # components of two kinds, or two dofs, used to be refitted with the
+        # kind and dof of the first
+        x = np.random.default_rng(0).normal(size=(40, 2))
+        warm = fc.BootstrapConfig(b=3, refit=fc.WarmStart(2))
+        for kinds, dofs in ((("gaussian", "student_t"), (None, 5.0)),
+                            (("student_t", "student_t"), (3.0, 30.0))):
+            params = fc.MixtureParams([0.5, 0.5], tuple(
+                fc.ComponentParams(kind, np.full(2, m), np.eye(2), dof=dof)
+                for kind, m, dof in zip(kinds, (0.0, 3.0), dofs)))
+            for call in (
+                lambda: fc.em_steps(x, params, EmConfig(), 2, np.random.default_rng(1)),
+                lambda: fc.calibrate_level(x, params, 0.1, warm, EmConfig(n_starts=1),
+                                           np.random.default_rng(1)),
+            ):
+                with pytest.raises(ValueError, match="one kind and dof"):
+                    call()
+
     def test_constraint_shapes(self):
         rng = np.random.default_rng(10)
         x = blobs(rng, [(0.0, 0.0), (4.0, 0.0)], 120) @ np.array([[1.0, 0.3], [0.0, 1.0]])

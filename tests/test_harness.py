@@ -291,7 +291,9 @@ def entry_point_inputs(tmp_path):
     "setting, message",
     [({"alpha": 1.5}, "alpha must lie in"),
      ({"grid": np.array([0.08, 0.04])}, "grid must be strictly increasing"),
-     ({"b": 0}, "b must be >= 1")],
+     ({"b": 0}, "b must be >= 1"),
+     ({"refit": FullRefit(fc.EmConfig(structure="known", known_covariances=(np.eye(3),) * 2))},
+      "known_covariances must be 2x2")],
 )
 @pytest.mark.parametrize("entry", ["bootstrap_procedure", "run_replication", "run_real_data"])
 def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry, setting,
@@ -304,7 +306,8 @@ def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry
             monkeypatch.setattr(module, "fit_mixture", no_fit)
     truth, x, path = entry_point_inputs(tmp_path)
     alpha = setting.get("alpha", 0.1)
-    boot = fc.BootstrapConfig(b=setting.get("b", 4), grid=setting.get("grid"))
+    boot = fc.BootstrapConfig(b=setting.get("b", 4), grid=setting.get("grid"),
+                              refit=setting.get("refit", FullRefit()))
     em = fc.EmConfig(n_starts=1)
     run = {
         "bootstrap_procedure": lambda: fc.bootstrap_procedure(x, 2, alpha, em, boot, 0),

@@ -242,6 +242,17 @@ class TestPosterior:
         assert np.all(np.isfinite(post.probs))
         np.testing.assert_array_equal(post.probs[1:], [[0.0, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("kind", ["gaussian", "student_t"])
+    def test_zero_rows(self, kind):
+        # no rows: an empty (0, Q) posterior and a log-likelihood of zero
+        params = fc.MixtureParams(
+            [0.3, 0.7], tuple(fc.ComponentParams(kind, np.full(2, m), np.eye(2), dof=5.0)
+                              for m in (0.0, 3.0)))
+        post, loglik = fc.mixtures.posterior_with_loglik(params, np.empty((0, 2)))
+        assert post.probs.shape == (0, 2) and post.probs.dtype == np.float64
+        assert post.t_values.shape == (0,) and post.t_values.dtype == np.float64
+        assert type(loglik) is float and loglik == 0.0
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(1, 3))
     def test_rows_stochastic_and_t_range(self, seed, q, d):
