@@ -55,7 +55,6 @@ from .mixtures import (
     mixture_loglik,
     mixture_to_json,
     posterior_matrix,
-    relabel,
     sample_mixture,
     save_data_csv,
     save_mixture_json,

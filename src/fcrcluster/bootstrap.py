@@ -26,8 +26,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .em import (EmConfig, FitResult, _best, _check_rows, _fit_runs, _known_factors, _warm_dof,
-                 _warm_runs, fit_mixture)
+from .em import (EmConfig, FitResult, _best, _check_rows, _fit_datasets, _known_factors,
+                 _rewound, _warm_dof, _warm_runs, fit_mixture)
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
@@ -57,10 +57,19 @@ logger = logging.getLogger(__name__)
 
 MODES = ("parametric", "nonparametric")
 
-# A block of resamples, kept whole, holds at most this many floats of each of
-# two per-resample kinds: the EM stack's data (rows times columns plus
+# A block of datasets, kept whole, holds at most this many floats of each of
+# two per-dataset kinds: the EM stack's data (rows times columns plus
 # components, per start) and the scorer's cumulative gains (rows times Q**2).
-_BLOCK_ELEMENTS = 1 << 20
+# One budget and one rule, ``_block_size``, cut the resamples of a calibration
+# and the replications of a sweep point.  Measured on the builtin scenarios,
+# 2**18 and 2**20 ran ``typical`` about 15% slower and 2**16 slowed ``high-dim``.
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def _block_size(n: int, d: int, q: int, starts: int) -> int:
+    """How many datasets of n rows of width d a block holds, for Q-component
+    fits of ``starts`` runs each: at least one."""
+    return max(1, _BLOCK_ELEMENTS // max(1, n * max(starts * (d + q), q * q)))
 
 
 @dataclass(frozen=True)
@@ -240,16 +249,19 @@ def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
     up to the first run k that drew, the runs made the sequential draws; the
     runs after it are dropped, and drawing resumes from where refit k left
     ``rng``.  One size rule serves both, with k = m, the block's size, for
-    full refits: a block starts at the bound that ``_BLOCK_ELEMENTS`` sets,
-    is cut to max(1, k) after a reinit at k and to one resample after it
-    raised, and doubles, up to the bound, after a block with neither.
+    full refits: a block starts at ``_block_size``, is cut to max(1, k)
+    after a reinit at k and to one resample after it raised, and doubles, up
+    to that bound, after a block with neither.  A warm block that raised is
+    drawn again from where it started; a full-refit block that raised keeps
+    its resamples and redoes them, in later blocks, on its start streams
+    rewound (``_rewound``), so no stream is spawned twice.
     Warnings are logged only for blocks that finished, so an error surfaces
     at the resample where one at a time raises, after the same warnings.
     """
     warm = isinstance(cfg.refit, WarmStart)
     (n, d), q = x.shape, theta_hat.q
     starts = 1 if warm else refit_cfg.n_starts
-    bound = max(1, _BLOCK_ELEMENTS // (n * max(starts * (d + q), q * q)))
+    bound = _block_size(n, d, q, starts)
     weights, means, _, chols, log_dets = theta = _theta(theta_hat)
     kernel = (np.log(weights), means, chols, log_dets)
     dofs = [c.dof for c in theta_hat.components]
@@ -260,20 +272,26 @@ def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
 
     def stack(xs, streams):
         if not warm:
-            return _fit_runs(np.repeat(xs, starts, axis=0), q, refit_cfg, known, streams)
+            return _fit_datasets(xs, q, refit_cfg, known, streams)
         if not cfg.refit.iters:
             return None
         block = tuple(np.repeat(a, len(xs), axis=0) for a in theta)
-        return _warm_runs(xs, block, dofs[0], refit_cfg, cfg.refit.iters, known, streams)
+        return [[run] for run in
+                _warm_runs(xs, block, dofs[0], refit_cfg, cfg.refit.iters, known, streams)]
 
-    done, size = 0, bound
+    done, size, redo = 0, bound, []  # redo: a raised full block's (resample, streams)
     while done < cfg.b:
         m = min(size, cfg.b - done)
-        start, xs, streams = rng.bit_generator.state, [], []
-        for _ in range(m):
+        start, xs, groups = rng.bit_generator.state, [], []
+        for xb, group in redo[:m]:
+            xs.append(xb)
+            groups.append(_rewound(group))
+        redone = len(xs)
+        for _ in range(m - redone):
             xs.append(resample(x, theta_hat, cfg.mode, rng))
-            streams += [_SavedStream(rng)] if warm else rng.spawn(starts)
+            groups.append([_SavedStream(rng)] if warm else rng.spawn(starts))
         xs = np.stack(xs)
+        streams = [s for group in groups for s in group]
         try:
             runs = stack(xs, streams)
             k = next((i for i, s in enumerate(streams) if warm and s.drew), m)
@@ -284,13 +302,17 @@ def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
         except (ValueError, np.linalg.LinAlgError):
             if m == 1:
                 raise
-            rng.bit_generator.state, size = start, 1
+            if warm:
+                rng.bit_generator.state = start
+            else:
+                redo[:redone] = zip(xs, groups)
+            size = 1
             continue
         if warm:
             rng.bit_generator.state = streams[len(xs) - 1].state
+        del redo[:redone]
         size = max(1, k) if k < m else min(2 * m, bound)
-        probs = [None if runs is None else _refit_probs(runs[i * starts:(i + 1) * starts])
-                 for i in range(len(xs))]
+        probs = [None if runs is None else _refit_probs(runs[i]) for i in range(len(xs))]
         ref = reference(xs) if ref is None else ref
         yield np.stack([r if p is None else p.T for p, r in zip(probs, ref)]), ref
         done += len(xs)
@@ -374,7 +396,7 @@ def bootstrap_procedure(
     MAP labels but nothing is selected.
     """
     boot_cfg = boot_cfg or BootstrapConfig()
-    run = _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, (boot_cfg.mode,))
+    run = _fitted_run(data, q, alpha, em_cfg, boot_cfg, rng, (boot_cfg.mode,))
     return run.selections[boot_cfg.mode]
 
 
@@ -388,28 +410,54 @@ class _CalibratedRun:
     selections: dict[str, SelectiveClustering]
 
 
-def _calibrated_run(data, q, alpha, em_cfg, boot_cfg, rng, kinds) -> _CalibratedRun:
-    """Fit ``data`` once and run each of ``kinds`` on that fit: a selection
-    rule of ``RULES``, or a bootstrap mode, calibrated with ``boot_cfg`` in
-    that mode and selected at the calibrated level.
+@dataclass(frozen=True, eq=False)
+class _RunSettings:
+    """The checked settings of a calibrated run: its rows, its level, the
+    outer EM settings and, per requested kind, the bootstrap settings of a
+    mode, or ``None`` for a selection rule."""
 
-    Every setting is checked before the fit.  The fit and then the
-    calibrations, in ``MODES`` order, draw in turn from ``default_rng(rng)``.
-    """
+    x: np.ndarray
+    alpha: float
+    em_cfg: EmConfig | None
+    kinds: dict[str, BootstrapConfig | None]
+
+
+def _run_settings(data, q, alpha, em_cfg, boot_cfg, kinds) -> _RunSettings:
+    """Check every setting of a calibrated run of ``kinds`` on ``data``,
+    before its fit: each kind is a selection rule of ``RULES``, or a
+    bootstrap mode, calibrated with ``boot_cfg`` in that mode."""
     alpha = _check_alpha(alpha)
     x = validate_data(data)
-    cfgs = {k: replace(boot_cfg, mode=k) for k in kinds if k not in RULES}
-    for cfg in cfgs.values():
-        _refit_settings(cfg, em_cfg, q, x)
-    rng = np.random.default_rng(rng)
-    fit = fit_mixture(x, q, em_cfg, rng)
-    post = posterior_matrix(fit.params, x)
-    selections = {k: select_and_label(post, alpha, k) for k in kinds if k in RULES}
-    curves = {m: calibrate_level(x, fit.params, alpha, cfgs[m], em_cfg, rng)
-              for m in MODES if m in cfgs}
+    checked = {k: None if k in RULES else replace(boot_cfg, mode=k) for k in kinds}
+    for cfg in checked.values():
+        if cfg is not None:
+            _refit_settings(cfg, em_cfg, q, x)
+    return _RunSettings(x, alpha, em_cfg, checked)
+
+
+def _calibrated_run(fit: FitResult, settings: _RunSettings, rng) -> _CalibratedRun:
+    """Run each kind of ``settings`` on ``fit``, the given fit of its rows:
+    the fit's posterior is computed once, each rule selects from it, and
+    each mode, in ``MODES`` order, calibrates, drawing in turn from ``rng``,
+    and selects at its calibrated level."""
+    s = settings
+    post = posterior_matrix(fit.params, s.x)
+    selections = {k: select_and_label(post, s.alpha, k)
+                  for k, cfg in s.kinds.items() if cfg is None}
+    curves = {m: calibrate_level(s.x, fit.params, s.alpha, s.kinds[m], s.em_cfg, rng)
+              for m in MODES if s.kinds.get(m) is not None}
     selections.update(
-        (m, clustering_at_calibrated_level(post, alpha, c)) for m, c in curves.items())
+        (m, clustering_at_calibrated_level(post, s.alpha, c)) for m, c in curves.items())
     return _CalibratedRun(fit, curves, selections)
+
+
+def _fitted_run(data, q, alpha, em_cfg, boot_cfg, rng, kinds) -> _CalibratedRun:
+    """A calibrated run of ``kinds`` on one dataset: every setting checked,
+    then ``fit_mixture`` and the calibrations drawing in turn from
+    ``default_rng(rng)``."""
+    settings = _run_settings(data, q, alpha, em_cfg, boot_cfg, kinds)
+    rng = np.random.default_rng(rng)
+    return _calibrated_run(fit_mixture(settings.x, q, em_cfg, rng), settings, rng)
 
 
 def clustering_at_calibrated_level(

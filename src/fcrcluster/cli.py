@@ -21,7 +21,7 @@ from .bootstrap import (
     BootstrapConfig,
     FullRefit,
     WarmStart,
-    _calibrated_run,
+    _fitted_run,
     write_curve_csv,
 )
 from .em import FAMILIES, EmConfig, fit_mixture, save_fit
@@ -161,7 +161,7 @@ def _cmd_calibrate(args) -> int:
         refit = FullRefit(replace(em_cfg, n_starts=args.refit_starts))
         refit_note = f"full EM per resample ({args.refit_starts} starts)"
     boot_cfg = BootstrapConfig(mode=args.mode, b=args.b, refit=refit)
-    run = _calibrated_run(x, args.q, args.alpha, em_cfg, boot_cfg, args.seed, (args.mode,))
+    run = _fitted_run(x, args.q, args.alpha, em_cfg, boot_cfg, args.seed, (args.mode,))
     curve, sc = run.curves[args.mode], run.selections[args.mode]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -466,6 +466,28 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
     return runs
 
 
+def _fit_datasets(xs: np.ndarray, q: int, cfg: EmConfig, known, streams) -> list[list[_Run]]:
+    """Multi-start EM on each dataset of ``xs`` (m, n, d), all starts in one
+    stack: ``streams`` holds each dataset's start streams in turn.  Returns
+    the runs of each dataset, from which ``_best`` picks its fit.
+
+    A dataset alone shares its rows among its starts as one view; each run
+    computes the bits it would compute alone either way.
+    """
+    starts = len(streams) // len(xs)
+    x = xs[0] if len(xs) == 1 else np.repeat(xs, starts, axis=0)
+    runs = _fit_runs(x, q, cfg, known, streams)
+    return [runs[i:i + starts] for i in range(0, len(runs), starts)]
+
+
+def _rewound(streams: list[np.random.Generator]) -> list[np.random.Generator]:
+    """New generators on the seed sequences ``streams`` were spawned from,
+    each where it stood when spawned: a stack that raised is redone on these,
+    and spawns none again."""
+    return [np.random.Generator(type(g.bit_generator)(g.bit_generator.seed_seq))
+            for g in streams]
+
+
 def _best(runs: list[_Run]) -> _Run:
     """The run with the highest final log-likelihood, the first on ties.
 
@@ -488,6 +510,27 @@ def _check_rows(x: np.ndarray, q: int) -> None:
         raise ValueError(f"need at least q={q} rows, got {x.shape[0]}")
 
 
+def _fit_settings(data, q: int, config: EmConfig | None):
+    """The checks of a fit, made before it draws: returns its rows, its
+    settings and its known factors (``_known_factors``)."""
+    cfg = config or EmConfig()
+    cfg.validate()
+    x = validate_data(data)
+    _check_rows(x, q)
+    return x, cfg, _known_factors(cfg, q, x.shape[1])
+
+
+def _fit_result(best: _Run, cfg: EmConfig) -> FitResult:
+    """The fit whose winning run is ``best``; building its parameters validates them."""
+    return FitResult(
+        params=_to_params(best.theta, _dof(cfg), cfg.structure),
+        loglik_trace=np.asarray(best.trace, dtype=float),
+        n_starts_run=cfg.n_starts,
+        converged=best.converged,
+        n_reinits=best.n_reinits,
+    )
+
+
 def fit_mixture(
     data, q: int, config: EmConfig | None = None, rng: np.random.Generator | None = None
 ) -> FitResult:
@@ -496,20 +539,11 @@ def fit_mixture(
     Start-level RNG streams are spawned from ``rng`` (fresh OS entropy when
     ``None``), and the starts iterate as one stack in which each computes
     what it would alone, so the result does not depend on evaluation order.
+    This is the one-dataset call of the stack that fits a block of datasets.
     """
-    cfg = config or EmConfig()
-    cfg.validate()
-    x = validate_data(data)
-    _check_rows(x, q)
+    x, cfg, known = _fit_settings(data, q, config)
     streams = np.random.default_rng(rng).spawn(cfg.n_starts)
-    best = _best(_fit_runs(x, q, cfg, _known_factors(cfg, q, x.shape[1]), streams))
-    return FitResult(
-        params=_to_params(best.theta, _dof(cfg), cfg.structure),
-        loglik_trace=np.asarray(best.trace, dtype=float),
-        n_starts_run=cfg.n_starts,
-        converged=best.converged,
-        n_reinits=best.n_reinits,
-    )
+    return _fit_result(_best(_fit_datasets(x[None], q, cfg, known, streams)[0]), cfg)
 
 
 def em_steps(

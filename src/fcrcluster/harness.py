@@ -21,8 +21,9 @@ import numpy as np
 import scipy
 
 from . import _svg
-from .bootstrap import BootstrapConfig, FullRefit, WarmStart, _calibrated_run
-from .em import EmConfig
+from .bootstrap import (BootstrapConfig, FullRefit, WarmStart, _block_size, _calibrated_run,
+                        _fitted_run, _run_settings)
+from .em import EmConfig, _best, _fit_datasets, _fit_result, _fit_settings, _rewound
 from .evaluation import FcrReport, sample_fcr
 from .mixtures import (
     ComponentParams,
@@ -243,22 +244,90 @@ def run_replication(
     Only the generating parameters (for the oracle) and the data enter;
     latent labels never do.  The plug-in, fixed baseline and both bootstrap
     corrections share one EM fit, so their selections are comparable
-    replication by replication.
+    replication by replication.  This is a block of one replication.
     """
-    x = validate_data(data)
-    out: dict[str, SelectiveClustering] = {}
-    if "oracle" in procedures:
-        out["oracle"] = select_and_label(posterior_matrix(truth, x), alpha, "cumulative")
+    (out,) = _replications([(validate_data(data), np.random.default_rng(rng))], truth, alpha,
+                           procedures, em_cfg, boot_cfg)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _replications(samples, truth, alpha, procedures, em_cfg, boot_cfg):
+    """Run the procedures on each sample ``(x, rng)`` of a block: yields, in
+    order, each sample's selections by procedure, or the error that ended
+    its replication.
+
+    Each sample is taken as it is alone: the oracle posterior, then every
+    setting checked, then the fit, whose start streams it spawns from
+    ``rng``, then the calibrations, which draw from ``rng`` in turn.  Only
+    the fits of the block's samples iterate as one EM stack (``_fit_block``),
+    so each sample gets the fit, or the error, that it gets alone.
+    """
+    em_cfg = _em_with_known(em_cfg, truth)
     fitted = {p: k for p, k in _FITTED.items() if p in procedures}
-    if fitted:
-        run = _calibrated_run(x, truth.q, alpha, _em_with_known(em_cfg, truth), boot_cfg,
-                              rng, fitted.values())
-        out.update((p, run.selections[k]) for p, k in fitted.items())
+    outs, ready = [], {}
+    for x, rng in samples:
+        out = {}
+        try:
+            if "oracle" in procedures:
+                out["oracle"] = select_and_label(posterior_matrix(truth, x), alpha,
+                                                 "cumulative")
+            if fitted:
+                settings = _run_settings(x, truth.q, alpha, em_cfg, boot_cfg,
+                                         fitted.values())
+                _, cfg, known = _fit_settings(x, truth.q, em_cfg)
+                ready[len(outs)] = settings, rng, rng.spawn(cfg.n_starts)
+        except Exception as exc:  # noqa: BLE001 - the replication's own error
+            out = exc
+        outs.append(out)
+    if ready:  # the settings, and so cfg and known, are those of every sample
+        xs = np.stack([settings.x for settings, _, _ in ready.values()])
+        fits = _fit_block(xs, [streams for *_, streams in ready.values()], truth.q, cfg, known)
+        ready = {i: (settings, rng, runs)
+                 for (i, (settings, rng, _)), runs in zip(ready.items(), fits)}
+    for i, out in enumerate(outs):
+        if i in ready:
+            settings, rng, runs = ready[i]
+            try:
+                if isinstance(runs, Exception):
+                    raise runs
+                run = _calibrated_run(_fit_result(_best(runs), cfg), settings, rng)
+                out.update((p, run.selections[k]) for p, k in fitted.items())
+            except Exception as exc:  # noqa: BLE001 - the replication's own error
+                out = exc
+        yield out
+
+
+def _fit_block(xs, streams, q, cfg, known) -> list:
+    """Per dataset of ``xs`` (m, n, d), its EM runs, or the error its fit
+    raised: one stack of every dataset's start streams (``streams``, one
+    list per dataset).  A stack that raised is redone one dataset at a time
+    on its streams rewound, so each dataset gets what it gets alone."""
+    try:
+        return _fit_datasets(xs, q, cfg, known, [g for group in streams for g in group])
+    except Exception:  # noqa: BLE001 - redone below, where each dataset gets its own
+        pass
+    out = []
+    for x, group in zip(xs, streams):
+        try:
+            out += _fit_datasets(x[None], q, cfg, known, _rewound(group))
+        except Exception as exc:  # noqa: BLE001 - the dataset's own error
+            out.append(exc)
     return out
 
 
 def run_scenario(config: ScenarioConfig) -> SweepResult:
-    """All sweep points and replications of one scenario, fully seeded."""
+    """All sweep points and replications of one scenario, fully seeded.
+
+    Replication r of sweep point j draws its sample, then its fit's start
+    streams, then its calibrations from ``SeedSequence([seed, j, r])``, as
+    ``run_replication`` does on that sample.  A sweep point's replications
+    run in blocks of ``bootstrap._block_size``, the rule that cuts a
+    calibration's resamples, whose fits iterate as one EM stack; the outputs
+    do not depend on the blocks.  Results and failures are kept in (j, r)
+    order.
+    """
     config.validate()
     details: list[RepDetail] = []
     failures: list[str] = []
@@ -270,31 +339,34 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
             truth = config.generator.truth_for(None)
         n = int(value) if config.sweep_kind == "n" else config.n
         alpha = float(value) if config.sweep_kind == "alpha" else config.alpha
+        size = _block_size(n, truth.dim, truth.q, config.em.n_starts)
         point: list[RepDetail] = []
-        for r in range(config.reps):
-            rng = np.random.default_rng(np.random.SeedSequence([config.seed, j, r]))
-            z, x = sample_mixture(truth, n, rng)
-            try:
-                outcomes = run_replication(
-                    x, truth, alpha, config.procedures, config.em, config.boot, rng
-                )
-            except Exception as exc:  # noqa: BLE001 - replication-level abort
-                msg = f"sweep value {value}, rep {r}: {exc!r}"
-                logger.error("replication aborted: %s", msg)
-                failures.append(msg)
-                continue
-            for proc, sc in outcomes.items():
-                report = sample_fcr(z, sc.labels, sc.selection.selected)
-                point.append(
-                    RepDetail(
-                        procedure=proc,
-                        sweep_value=float(value),
-                        rep=r,
-                        fcr=report.sample_fcr,
-                        selection_frequency=report.selection_frequency,
-                        n_selected=report.n_selected,
+        for first in range(0, config.reps, size):
+            block = []
+            for r in range(first, min(first + size, config.reps)):
+                rng = np.random.default_rng(np.random.SeedSequence([config.seed, j, r]))
+                z, x = sample_mixture(truth, n, rng)
+                block.append((r, z, x, rng))
+            outcomes = _replications([(x, rng) for _, _, x, rng in block], truth, alpha,
+                                     config.procedures, config.em, config.boot)
+            for (r, z, _, _), outcome in zip(block, outcomes):
+                if isinstance(outcome, Exception):
+                    msg = f"sweep value {value}, rep {r}: {outcome!r}"
+                    logger.error("replication aborted: %s", msg)
+                    failures.append(msg)
+                    continue
+                for proc, sc in outcome.items():
+                    report = sample_fcr(z, sc.labels, sc.selection.selected)
+                    point.append(
+                        RepDetail(
+                            procedure=proc,
+                            sweep_value=float(value),
+                            rep=r,
+                            fcr=report.sample_fcr,
+                            selection_frequency=report.selection_frequency,
+                            n_selected=report.n_selected,
+                        )
                     )
-                )
         details.extend(point)
         for proc in config.procedures:
             rows = [d for d in point if d.procedure == proc]
@@ -355,7 +427,7 @@ def run_real_data(
         raise ValueError(f"{csv_path}: fewer rows ({x.shape[0]}) than clusters ({q})")
 
     kind = _FITTED[procedure]
-    sc = _calibrated_run(x, q, alpha, em_cfg or EmConfig(family="student"),
+    sc = _fitted_run(x, q, alpha, em_cfg or EmConfig(family="student"),
                          boot_cfg or BootstrapConfig(), seed, (kind,)).selections[kind]
 
     report = None

@@ -14,6 +14,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -216,6 +217,16 @@ class MixtureParams:
     def dim(self) -> int:
         return self.components[0].dim
 
+    @cached_property
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scatters' lower Cholesky factors (Q, d, d) and log-determinants
+        (Q,), factored once: a calibration samples and scores under them.
+        Read-only, since every caller shares them."""
+        factors = _factorize(np.stack([c.scatter for c in self.components]))
+        for a in factors:
+            a.flags.writeable = False
+        return factors
+
 
 @dataclass(frozen=True, eq=False)
 class PosteriorMatrix:
@@ -387,11 +398,11 @@ def sample_mixture(params: MixtureParams, n: int, rng: np.random.Generator):
     d = params.dim
     labels = rng.choice(params.q, size=n, p=params.weights)
     data = np.empty((n, d), dtype=float)
-    for q, comp in enumerate(params.components):
+    for q, (comp, chol) in enumerate(zip(params.components, params._factors[0])):
         idx = np.flatnonzero(labels == q)
         if idx.size == 0:
             continue
-        z = rng.standard_normal((idx.size, d)) @ _factorize(comp.scatter)[0].T
+        z = rng.standard_normal((idx.size, d)) @ chol.T
         if comp.kind == STUDENT_T:
             w = rng.chisquare(comp.dof, idx.size)
             z *= np.sqrt(comp.dof / w)[:, None]
@@ -417,7 +428,8 @@ def _theta(params: MixtureParams):
     comps = params.components
     scatters = np.stack([c.scatter for c in comps])[None]
     means = np.stack([c.mean for c in comps])[None]
-    return (params.weights[None], means, scatters, *_factorize(scatters))
+    chols, log_dets = params._factors
+    return (params.weights[None], means, scatters, chols[None], log_dets[None])
 
 
 def _t_values(probs: np.ndarray) -> np.ndarray:
@@ -459,22 +471,6 @@ def _map_rows(probs: np.ndarray) -> np.ndarray:
         np.copyto(labels, q, where=col > top)
         top = np.maximum(top, col)
     return labels
-
-
-def relabel(params: MixtureParams, perm) -> MixtureParams:
-    """Permute component indices: new component ``j`` is old ``perm[j]``.
-
-    The posterior matrix of the result equals the column permutation of the
-    original posterior matrix; t_values are unchanged.
-    """
-    perm = np.asarray(perm, dtype=int)
-    if sorted(perm.tolist()) != list(range(params.q)):
-        raise ValueError(f"perm must be a permutation of 0..{params.q - 1}")
-    return MixtureParams(
-        weights=params.weights[perm],
-        components=tuple(params.components[j] for j in perm),
-        structure=params.structure,
-    )
 
 
 # --- serialization -----------------------------------------------------------

@@ -693,6 +693,47 @@ class TestStackedRefits:
         alone = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(3))
         assert np.array_equal(curve.fcr_hat, alone.fcr_hat)
 
+    def test_raised_block_redoes_its_refits_on_their_spawn_keys(self, monkeypatch, caplog):
+        # the reference posteriors of a far row raise the first block, whose
+        # refits then run again: on the streams spawned for their resamples,
+        # not on new ones, with the warnings and error of one at a time
+        _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 40,
+                                 np.random.default_rng(0))
+        em = fc.EmConfig(structure="diagonal", n_starts=2)
+        params = fc.fit_mixture(x, 2, em, np.random.default_rng(1)).params
+        x = np.vstack([x, [[1e160, 0.0]]])
+        cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit(
+            fc.EmConfig(structure="diagonal", n_starts=1)))
+        fit_runs = fc.em._fit_runs
+
+        def run(budget):
+            pairs, calls = set(), []
+
+            def spy(xr, q, refit_cfg, known, streams):
+                xr = np.broadcast_to(xr, (len(streams), *xr.shape[-2:]))
+                pairs.update((g.bit_generator.seed_seq.spawn_key, xb.tobytes())
+                             for g, xb in zip(streams, xr))
+                calls.append(len(streams))
+                return fit_runs(xr, q, refit_cfg, known, streams)
+
+            monkeypatch.setattr(fc.em, "_fit_runs", spy)
+            if budget is not None:
+                monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", budget)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
+                with pytest.raises(ValueError, match="too far from every") as error:
+                    fc.calibrate_level(x, params, 0.1, cfg, rng=np.random.default_rng(18))
+            return pairs, calls, list(caplog.messages), str(error.value)
+
+        pairs, calls, logged, error = run(None)
+        alone_pairs, alone_calls, alone_logged, alone_error = run(1)
+        assert calls[0] == 30 and set(alone_calls) == {1}
+        assert (logged, error) == (alone_logged, alone_error)
+        assert any("rows lie too far apart" in m for m in logged)
+        # every spawn key goes with one resample, the one it goes with alone
+        assert len({key for key, _ in pairs}) == len({xb for _, xb in pairs}) == len(pairs)
+        assert alone_pairs <= pairs
+
     @pytest.mark.parametrize("blocks", ["one", "several"])
     def test_late_failure_keeps_original_fit(self, monkeypatch, caplog, blocks):
         # a refit that fails after its starts is scored under the original

@@ -302,8 +302,9 @@ def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry
         raise AssertionError("fitted before the settings were checked")
 
     for module in (fc.em, fc.bootstrap, fc.harness):
-        if hasattr(module, "fit_mixture"):
-            monkeypatch.setattr(module, "fit_mixture", no_fit)
+        for name in ("fit_mixture", "_fit_datasets"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_fit)
     truth, x, path = entry_point_inputs(tmp_path)
     alpha = setting.get("alpha", 0.1)
     boot = fc.BootstrapConfig(b=setting.get("b", 4), grid=setting.get("grid"),
@@ -483,3 +484,142 @@ class TestRealData:
             boot_cfg=boot, procedure="plugin",
         )
         assert sc.labels.shape == (300,)
+
+
+def block_scenario(kind):
+    """A tiny scenario whose replications stack, of one of the kinds whose
+    outputs must not depend on the replication blocks."""
+    em = {
+        "diagonal": fc.EmConfig(structure="diagonal", n_starts=2, max_iter=30),
+        "student-full": fc.EmConfig(family="student", structure="full", n_starts=2,
+                                    max_iter=30),
+        "known": fc.EmConfig(structure="known", n_starts=2, max_iter=30),
+    }.get(kind, fc.EmConfig(structure="diagonal", n_starts=2, max_iter=30))
+    refit = WarmStart(3) if kind == "student-full" else FullRefit()
+    sweep = ("n", (1.0, 30.0)) if kind == "n-below-q" else ("epsilon", (1.5, 3.0))
+    procedures = fc.harness.PROCEDURES
+    if kind == "far-row-fit":  # without the oracle, the fit meets the far row
+        procedures = tuple(p for p in procedures if p != "oracle")
+    return fc.ScenarioConfig(
+        name=kind, generator=fc.TruthSpec(q=2, d=2, epsilon=2.0), n=40, reps=4,
+        procedures=procedures, sweep_kind=sweep[0], sweep_values=sweep[1], alpha=0.1,
+        em=em, boot=fc.BootstrapConfig(b=4, refit=refit), seed=7,
+    )
+
+
+def inject_far_row(monkeypatch):
+    """Replication 1 of sweep point 0 gets a row at 1e160, too far from every
+    component for a density or for k-means++."""
+    sample, calls = fc.mixtures.sample_mixture, []
+
+    def far(truth, n, rng):
+        z, x = sample(truth, n, rng)
+        calls.append(None)
+        if len(calls) == 2:
+            x[0] = [1e160, 0.0]
+        return z, x
+
+    monkeypatch.setattr(fc.harness, "sample_mixture", far)
+
+
+def stacked_datasets(monkeypatch):
+    """The number of datasets in each replication stack the harness fits."""
+    sizes, fit_datasets = [], fc.harness._fit_datasets
+
+    def spy(xs, q, cfg, known, streams):
+        sizes.append(len(xs))
+        return fit_datasets(xs, q, cfg, known, streams)
+
+    monkeypatch.setattr(fc.harness, "_fit_datasets", spy)
+    return sizes
+
+
+def scenario_outputs(cfg, out_dir):
+    """The scenario's failures and the bytes of its results, details and manifest."""
+    result = fc.run_scenario(cfg)
+    fc.emit_outputs(result, out_dir)
+    files = ("results.csv", "details.csv", "manifest.json")
+    return result.failures, [(out_dir / name).read_bytes() for name in files]
+
+
+BLOCK_KINDS = ["diagonal", "student-full", "known", "n-below-q", "far-row", "far-row-fit"]
+
+
+class TestReplicationBlocks:
+    """A sweep point's replications are fitted as one EM stack; each gets
+    the draws, the fit and the error it gets alone."""
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_outputs_do_not_depend_on_the_blocks(self, monkeypatch, tmp_path, kind):
+        cfg = block_scenario(kind)
+        if kind.startswith("far-row"):
+            inject_far_row(monkeypatch)
+        sizes = stacked_datasets(monkeypatch)
+        stacked = scenario_outputs(cfg, tmp_path / "stacked")
+        assert max(sizes) == cfg.reps
+        if kind.startswith("far-row") or kind == "n-below-q":
+            assert stacked[0]
+        monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", 1)
+        if kind.startswith("far-row"):
+            inject_far_row(monkeypatch)
+        sizes.clear()
+        alone = scenario_outputs(cfg, tmp_path / "alone")
+        assert set(sizes) <= {1}
+        assert stacked == alone
+
+    @pytest.mark.parametrize("kind", BLOCK_KINDS)
+    def test_generators_end_as_after_fit_mixture(self, monkeypatch, kind):
+        # at its calibrations, each replication's generator stands where it
+        # stands after sampling and fit_mixture alone, with the same fit
+        cfg = block_scenario(kind)
+        if kind.startswith("far-row"):
+            inject_far_row(monkeypatch)
+        seen, calibrated_run = [], fc.harness._calibrated_run
+
+        def spy(fit, settings, rng):
+            seen.append((rng.bit_generator.state,
+                         rng.bit_generator.seed_seq.n_children_spawned, fit))
+            return calibrated_run(fit, settings, rng)
+
+        monkeypatch.setattr(fc.harness, "_calibrated_run", spy)
+        result = fc.run_scenario(cfg)
+        failed = {f.split(":")[0] for f in result.failures}
+        expected = []
+        for j, value in enumerate(cfg.sweep_values):
+            eps = value if cfg.sweep_kind == "epsilon" else None
+            truth = cfg.generator.truth_for(eps)
+            n = int(value) if cfg.sweep_kind == "n" else cfg.n
+            em = fc.harness._em_with_known(cfg.em, truth)
+            for r in range(cfg.reps):
+                if f"sweep value {value}, rep {r}" in failed:
+                    continue
+                rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, j, r]))
+                _, x = fc.sample_mixture(truth, n, rng)
+                fit = fc.fit_mixture(x, truth.q, em, rng)
+                expected.append((rng.bit_generator.state,
+                                 rng.bit_generator.seed_seq.n_children_spawned, fit))
+        assert len(seen) == len(expected) > 0
+        for (state, spawned, fit), (state_a, spawned_a, fit_a) in zip(seen, expected):
+            assert (state, spawned) == (state_a, spawned_a) == (state, cfg.em.n_starts)
+            assert np.array_equal(fit.loglik_trace, fit_a.loglik_trace)
+            assert np.array_equal(fit.params.weights, fit_a.params.weights)
+            for a, b in zip(fit.params.components, fit_a.params.components):
+                assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scatter, b.scatter)
+
+    def test_raised_stack_is_redone_one_replication_at_a_time(self, monkeypatch, tmp_path):
+        # a stack of several replications that raises after its runs drew is
+        # redone one replication at a time on the start streams it spawned
+        cfg = block_scenario("diagonal")
+        alone = scenario_outputs(cfg, tmp_path / "alone")
+        fit_datasets, raised = fc.harness._fit_datasets, []
+
+        def raising(xs, q, cfg, known, streams):
+            runs = fit_datasets(xs, q, cfg, known, streams)
+            if len(xs) > 1:
+                raised.append(len(xs))
+                raise ValueError("stack failed after its runs")
+            return runs
+
+        monkeypatch.setattr(fc.harness, "_fit_datasets", raising)
+        assert scenario_outputs(cfg, tmp_path / "redone") == alone
+        assert raised == [cfg.reps] * len(cfg.sweep_values)
