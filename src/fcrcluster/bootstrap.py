@@ -26,8 +26,8 @@ from itertools import permutations
 
 import numpy as np
 
-from .em import (EmConfig, FitResult, _best, _check_rows, _fit_datasets, _known_factors,
-                 _rewound, _warm_dof, _warm_runs, fit_mixture)
+from .em import (EmConfig, FitResult, _best, _check_count, _check_rows, _each, _fit_datasets,
+                 _known_factors, _warm_dof, _warm_runs, fit_mixture)
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
@@ -104,8 +104,7 @@ class BootstrapConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
-        if self.b < 1:
-            raise ValueError("b must be >= 1")
+        _check_count("b", self.b)
         if self.grid is not None:
             g = np.asarray(self.grid, dtype=float)
             if g.ndim != 1 or g.size == 0:
@@ -115,9 +114,7 @@ class BootstrapConfig:
             if np.any(np.diff(g) <= 0.0):
                 raise ValueError("grid must be strictly increasing")
         if isinstance(self.refit, WarmStart):
-            iters = self.refit.iters
-            if not isinstance(iters, (int, np.integer)) or iters < 0:
-                raise ValueError(f"warm-start iters must be >= 0 and whole, got {iters!r}")
+            _check_count("warm-start iters", self.refit.iters, 0)
         elif not isinstance(self.refit, FullRefit):
             raise ValueError(f"refit must be a WarmStart or a FullRefit, got {self.refit!r}")
         elif self.refit.em is not None:
@@ -227,7 +224,12 @@ class _SavedStream:
     the run's resample was drawn, keeping where the run's draws leave it."""
 
     def __init__(self, rng):
-        self.rng, self.state, self.drew = rng, rng.bit_generator.state, False
+        self.rng, self.saved = rng, rng.bit_generator.state
+        self.rewind()
+
+    def rewind(self):  # back to where the run's resample left rng, before it drew
+        self.state, self.drew = self.saved, False
+        return self
 
     def integers(self, n):
         self.rng.bit_generator.state, self.drew = self.state, True
@@ -250,13 +252,12 @@ def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
     runs after it are dropped, and drawing resumes from where refit k left
     ``rng``.  One size rule serves both, with k = m, the block's size, for
     full refits: a block starts at ``_block_size``, is cut to max(1, k)
-    after a reinit at k and to one resample after it raised, and doubles, up
-    to that bound, after a block with neither.  A warm block that raised is
-    drawn again from where it started; a full-refit block that raised keeps
-    its resamples and redoes them, in later blocks, on its start streams
-    rewound (``_rewound``), so no stream is spawned twice.
-    Warnings are logged only for blocks that finished, so an error surfaces
-    at the resample where one at a time raises, after the same warnings.
+    after a reinit at k, and doubles, up to that bound, after a block with
+    none.  A block's refits, and then its reference posteriors, run as one
+    stack that gives each resample its outcome or its error (``em._each``).
+    The resamples are taken in draw order, each refit's fallback warning
+    logged; those before the first error, a refit's before its reference
+    posterior's, are yielded and the error is raised, as one at a time does.
     """
     warm = isinstance(cfg.refit, WarmStart)
     (n, d), q = x.shape, theta_hat.q
@@ -266,56 +267,47 @@ def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
     kernel = (np.log(weights), means, chols, log_dets)
     dofs = [c.dof for c in theta_hat.components]
 
-    def reference(xs):
+    def reference(xs, _):
         block = (np.broadcast_to(a, (len(xs), *a.shape[1:])) for a in kernel)
         return _normalize(_log_weighted(xs, *block, dofs))[0]
 
-    def stack(xs, streams):
-        if not warm:
-            return _fit_datasets(xs, q, refit_cfg, known, streams)
-        if not cfg.refit.iters:
-            return None
+    def warm_stack(xs, groups):
         block = tuple(np.repeat(a, len(xs), axis=0) for a in theta)
-        return [[run] for run in
-                _warm_runs(xs, block, dofs[0], refit_cfg, cfg.refit.iters, known, streams)]
+        return [[run] for run in _warm_runs(
+            xs, block, dofs[0], refit_cfg, cfg.refit.iters, known, [s for s, in groups])]
 
-    done, size, redo = 0, bound, []  # redo: a raised full block's (resample, streams)
+    done, size = 0, bound
     while done < cfg.b:
         m = min(size, cfg.b - done)
-        start, xs, groups = rng.bit_generator.state, [], []
-        for xb, group in redo[:m]:
-            xs.append(xb)
-            groups.append(_rewound(group))
-        redone = len(xs)
-        for _ in range(m - redone):
+        xs, groups = [], []
+        for _ in range(m):
             xs.append(resample(x, theta_hat, cfg.mode, rng))
             groups.append([_SavedStream(rng)] if warm else rng.spawn(starts))
         xs = np.stack(xs)
-        streams = [s for group in groups for s in group]
-        try:
-            runs = stack(xs, streams)
-            k = next((i for i, s in enumerate(streams) if warm and s.drew), m)
-            xs = xs[:k + 1]
-            # a lone resample's reference posterior is taken after its
-            # refit's warning is logged, as one resample at a time does
-            ref = reference(xs) if m > 1 else None
-        except (ValueError, np.linalg.LinAlgError):
-            if m == 1:
-                raise
-            if warm:
-                rng.bit_generator.state = start
-            else:
-                redo[:redone] = zip(xs, groups)
-            size = 1
-            continue
-        if warm:
-            rng.bit_generator.state = streams[len(xs) - 1].state
-        del redo[:redone]
+        if not warm:
+            fits = _fit_datasets(xs, q, refit_cfg, known, groups)
+        elif cfg.refit.iters:
+            fits = _each(warm_stack, xs, groups, lambda group: [s.rewind() for s in group])
+        else:
+            fits = [None] * m
+        k = next((i for i, group in enumerate(groups) if warm and group[0].drew), m)
+        refs = _each(reference, xs[:k + 1])
+        probs, error = [], None
+        for fit, ref in zip(fits, refs):
+            # the refit's error, or else its posterior, None where the original fit stands in
+            p = fit if fit is None or isinstance(fit, Exception) else _refit_probs(fit)
+            error = next((e for e in (p, ref) if isinstance(e, Exception)), None)
+            if error is not None:
+                break
+            probs.append(ref if p is None else p.T)
+        if warm:  # where the last refit taken, or the one that raised, left rng
+            rng.bit_generator.state = groups[len(probs) - (error is None)][0].state
+        if probs:
+            yield np.stack(probs), np.asarray(refs[:len(probs)])
+        if error is not None:
+            raise error
         size = max(1, k) if k < m else min(2 * m, bound)
-        probs = [None if runs is None else _refit_probs(runs[i]) for i in range(len(xs))]
-        ref = reference(xs) if ref is None else ref
-        yield np.stack([r if p is None else p.T for p, r in zip(probs, ref)]), ref
-        done += len(xs)
+        done += len(probs)
 
 
 def _refit_settings(cfg: BootstrapConfig, em_cfg: EmConfig | None, q: int, x):

@@ -42,6 +42,12 @@ from .mixtures import (
 FAMILIES = (GAUSSIAN, "student")
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is a whole number >= ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
+
+
 @dataclass
 class EmConfig:
     """Settings for multi-start EM.
@@ -66,10 +72,8 @@ class EmConfig:
             raise ValueError(f"family must be one of {FAMILIES}")
         if self.structure not in STRUCTURES:
             raise ValueError(f"unknown structure {self.structure!r}")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be >= 1")
+        for name in ("max_iter", "n_starts"):
+            _check_count(name, getattr(self, name))
         if self.structure == "known" and self.known_covariances is None:
             raise ValueError("structure 'known' requires known_covariances")
         if self.family == "student" and not self.dof > 2.0:
@@ -466,26 +470,41 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
     return runs
 
 
-def _fit_datasets(xs: np.ndarray, q: int, cfg: EmConfig, known, streams) -> list[list[_Run]]:
+def _each(stack, xs: np.ndarray, groups=None, rewind=None) -> list:
+    """Per dataset of ``xs``, what ``stack(xs, groups)`` gives it, or the error
+    it raises alone; ``groups`` holds each dataset's streams.  A run computes
+    the same bits alone as in a stack, so a stack raises only where one of its
+    datasets raises alone: a stack that raised is redone one dataset at a
+    time, on its streams rewound by ``rewind``.  A stack that did not raise
+    is handed back as it is."""
+    try:
+        return stack(xs, groups)
+    except Exception as exc:  # noqa: BLE001 - each dataset gets its own error below
+        if len(xs) == 1:
+            return [exc]
+    out = []
+    for i, x in enumerate(xs):
+        try:
+            out.extend(stack(x[None], groups and [rewind(groups[i])]))
+        except Exception as exc:  # noqa: BLE001 - the dataset's own error
+            out.append(exc)
+    return out
+
+
+def _fit_datasets(xs: np.ndarray, q: int, cfg: EmConfig, known, groups) -> list:
     """Multi-start EM on each dataset of ``xs`` (m, n, d), all starts in one
-    stack: ``streams`` holds each dataset's start streams in turn.  Returns
-    the runs of each dataset, from which ``_best`` picks its fit.
+    stack, on each dataset's start streams in ``groups``: per dataset, its
+    runs, from which ``_best`` picks its fit, or its error (``_each``, which
+    redoes a stack on generators rebuilt from its streams' seed sequences).
+    A dataset alone shares its rows among its starts as one view."""
+    def stack(xs, groups):
+        starts = len(groups[0])
+        x = xs[0] if len(xs) == 1 else np.repeat(xs, starts, axis=0)
+        runs = _fit_runs(x, q, cfg, known, [s for group in groups for s in group])
+        return [runs[i:i + starts] for i in range(0, len(runs), starts)]
 
-    A dataset alone shares its rows among its starts as one view; each run
-    computes the bits it would compute alone either way.
-    """
-    starts = len(streams) // len(xs)
-    x = xs[0] if len(xs) == 1 else np.repeat(xs, starts, axis=0)
-    runs = _fit_runs(x, q, cfg, known, streams)
-    return [runs[i:i + starts] for i in range(0, len(runs), starts)]
-
-
-def _rewound(streams: list[np.random.Generator]) -> list[np.random.Generator]:
-    """New generators on the seed sequences ``streams`` were spawned from,
-    each where it stood when spawned: a stack that raised is redone on these,
-    and spawns none again."""
-    return [np.random.Generator(type(g.bit_generator)(g.bit_generator.seed_seq))
-            for g in streams]
+    return _each(stack, xs, groups, lambda group: [
+        np.random.Generator(type(g.bit_generator)(g.bit_generator.seed_seq)) for g in group])
 
 
 def _best(runs: list[_Run]) -> _Run:
@@ -543,7 +562,10 @@ def fit_mixture(
     """
     x, cfg, known = _fit_settings(data, q, config)
     streams = np.random.default_rng(rng).spawn(cfg.n_starts)
-    return _fit_result(_best(_fit_datasets(x[None], q, cfg, known, streams)[0]), cfg)
+    (runs,) = _fit_datasets(x[None], q, cfg, known, [streams])
+    if isinstance(runs, Exception):
+        raise runs
+    return _fit_result(_best(runs), cfg)
 
 
 def em_steps(

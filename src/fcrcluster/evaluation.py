@@ -22,6 +22,7 @@ from .mixtures import (
     posterior_matrix,
     sample_mixture,
 )
+from .selection import _check_alpha
 
 MAX_EXHAUSTIVE_Q = 8
 _MC_SIZE = 1_000_000  # the default sample size of oracle_curve and of --mc-size
@@ -161,6 +162,7 @@ def oracle_curve(
 ) -> OracleCurve:
     """Monte-Carlo selective-risk curve over 50 equally spaced thresholds up
     to the largest possible risk, ``1 - 1/Q``, from ``mc_size >= 1`` draws."""
+    alpha = _check_alpha(alpha)
     if mc_size < 1:
         raise ValueError(f"mc_size must be >= 1, got {mc_size}")
     if rng is None:

@@ -23,7 +23,7 @@ import scipy
 from . import _svg
 from .bootstrap import (BootstrapConfig, FullRefit, WarmStart, _block_size, _calibrated_run,
                         _fitted_run, _run_settings)
-from .em import EmConfig, _best, _fit_datasets, _fit_result, _fit_settings, _rewound
+from .em import EmConfig, _best, _fit_datasets, _fit_result, _fit_settings
 from .evaluation import FcrReport, sample_fcr
 from .mixtures import (
     ComponentParams,
@@ -118,9 +118,9 @@ class ScenarioConfig:
                 raise ValueError("n sweep values must be positive")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
-        if self.sweep_kind != "epsilon":
-            # resolving the truth must work without a sweep-supplied epsilon
-            self.generator.truth_for(None)
+        # only an epsilon sweep supplies the truth's epsilon; EM gets its known parts
+        eps = self.sweep_values[0] if self.sweep_kind == "epsilon" else None
+        _em_with_known(self.em, self.generator.truth_for(eps)).validate()
         if self.boot.mode != BootstrapConfig.mode:
             raise ValueError("boot.mode is not a scenario setting: the procedures"
                              " boot_param and boot_nonparam choose the mode")
@@ -260,9 +260,9 @@ def _replications(samples, truth, alpha, procedures, em_cfg, boot_cfg):
 
     Each sample is taken as it is alone: the oracle posterior, then every
     setting checked, then the fit, whose start streams it spawns from
-    ``rng``, then the calibrations, which draw from ``rng`` in turn.  Only
-    the fits of the block's samples iterate as one EM stack (``_fit_block``),
-    so each sample gets the fit, or the error, that it gets alone.
+    ``rng``, then the calibrations, which draw from ``rng`` in turn.  Only the
+    fits iterate as one EM stack, ``_fit_datasets``, which gives each sample
+    the fit, or the error, that it gets alone.
     """
     em_cfg = _em_with_known(em_cfg, truth)
     fitted = {p: k for p, k in _FITTED.items() if p in procedures}
@@ -283,7 +283,7 @@ def _replications(samples, truth, alpha, procedures, em_cfg, boot_cfg):
         outs.append(out)
     if ready:  # the settings, and so cfg and known, are those of every sample
         xs = np.stack([settings.x for settings, _, _ in ready.values()])
-        fits = _fit_block(xs, [streams for *_, streams in ready.values()], truth.q, cfg, known)
+        fits = _fit_datasets(xs, truth.q, cfg, known, [streams for *_, streams in ready.values()])
         ready = {i: (settings, rng, runs)
                  for (i, (settings, rng, _)), runs in zip(ready.items(), fits)}
     for i, out in enumerate(outs):
@@ -299,24 +299,6 @@ def _replications(samples, truth, alpha, procedures, em_cfg, boot_cfg):
         yield out
 
 
-def _fit_block(xs, streams, q, cfg, known) -> list:
-    """Per dataset of ``xs`` (m, n, d), its EM runs, or the error its fit
-    raised: one stack of every dataset's start streams (``streams``, one
-    list per dataset).  A stack that raised is redone one dataset at a time
-    on its streams rewound, so each dataset gets what it gets alone."""
-    try:
-        return _fit_datasets(xs, q, cfg, known, [g for group in streams for g in group])
-    except Exception:  # noqa: BLE001 - redone below, where each dataset gets its own
-        pass
-    out = []
-    for x, group in zip(xs, streams):
-        try:
-            out += _fit_datasets(x[None], q, cfg, known, _rewound(group))
-        except Exception as exc:  # noqa: BLE001 - the dataset's own error
-            out.append(exc)
-    return out
-
-
 def run_scenario(config: ScenarioConfig) -> SweepResult:
     """All sweep points and replications of one scenario, fully seeded.
 
@@ -324,9 +306,9 @@ def run_scenario(config: ScenarioConfig) -> SweepResult:
     streams, then its calibrations from ``SeedSequence([seed, j, r])``, as
     ``run_replication`` does on that sample.  A sweep point's replications
     run in blocks of ``bootstrap._block_size``, the rule that cuts a
-    calibration's resamples, whose fits iterate as one EM stack; the outputs
-    do not depend on the blocks.  Results and failures are kept in (j, r)
-    order.
+    calibration's resamples, whose fits iterate as one EM stack that gives
+    each the fit, or the error, it gets alone (``em._fit_datasets``), so the
+    outputs do not depend on the blocks.  Results and failures keep (j, r) order.
     """
     config.validate()
     details: list[RepDetail] = []

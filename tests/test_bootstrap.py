@@ -137,6 +137,7 @@ def assert_scores_match_reference(pairs, levels):
     return expected
 
 
+@pytest.mark.bits
 class TestBlockScorer:
     """The block scorer is the per-resample assignment-solver scorer, bit for bit."""
 
@@ -209,6 +210,7 @@ def captured_references(monkeypatch):
     return refs
 
 
+@pytest.mark.bits
 class TestReferencePosteriors:
     """A resample's reference posterior, from one stacked density pass per
     block, is the bits of ``posterior_matrix`` under the original fit on that
@@ -405,6 +407,7 @@ def sequential_warm_curve(x, params, levels, mode, b, em, iters, seed):
 
 
 class TestWarmRefits:
+    @pytest.mark.bits
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     @pytest.mark.parametrize("family, structure",
                              [("gaussian", "diagonal"), ("gaussian", "spherical"),
@@ -486,6 +489,7 @@ class TestSpeculativeWarmStacks:
     """Warm refits stack blocks of resamples on the guess that they draw no
     reinit; the curve is the one-at-a-time curve."""
 
+    @pytest.mark.bits
     def test_reinit_positions_match_sequential_reference(self, monkeypatch):
         # blocks of at most four resamples: the first reinit of a block falls
         # at its first, a middle and its last position, and a block has two
@@ -504,6 +508,7 @@ class TestSpeculativeWarmStacks:
         assert any(len(drew) > 1 for _, drew in stacks)
         assert max(m for m, _ in stacks) == 4
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
     @pytest.mark.parametrize("family, structure",
                              [("gaussian", "diagonal"), ("student", "full")])
@@ -523,6 +528,7 @@ class TestSpeculativeWarmStacks:
         else:
             assert 0 < reinits < 40 and stacks
 
+    @pytest.mark.bits
     def test_no_iterations_matches_sequential_reference(self):
         x, em, params = far_row_fit("gaussian", "diagonal")
         cfg = fc.BootstrapConfig(mode="nonparametric", b=20, refit=WarmStart(0))
@@ -532,10 +538,12 @@ class TestSpeculativeWarmStacks:
         assert np.array_equal(curve.fcr_hat, expected)
         assert reinits == 0
 
+    @pytest.mark.bits
     def test_far_row_in_a_stack_raises_at_its_resample(self, monkeypatch, caplog):
         # a row whose density underflows under every component ends the whole
-        # stack it is in; redone one resample at a time, the error comes at
-        # the resample where it comes one at a time, after the same warnings
+        # stack it is in; its resamples are redone one at a time, and the
+        # error comes at the resample where it comes one at a time, after the
+        # same warnings
         _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 40,
                                  np.random.default_rng(0))
         em = fc.EmConfig(structure="diagonal", n_starts=2)
@@ -577,15 +585,17 @@ class TestSpeculativeWarmStacks:
             with pytest.raises(ValueError) as stacked:
                 fc.calibrate_level(x, params, 0.1, cfg, em, np.random.default_rng(18))
         assert str(stacked.value) == str(alone.value)
-        assert np.array_equal(drawn[-1], draws[-1])
+        assert len(drawn) == 30 and np.array_equal(drawn[len(draws) - 1], draws[-1])
         assert caplog.messages == ["bootstrap refit failed (boom); keeping original fit"]
-        # the first block, all 30; then blocks of one, two and four, the last
-        # holding resample 4; then resample 3 alone, 4 and 5, and 4 alone
-        assert raised == [30, 4, 2, 1]
+        # the first block, all 30; then, one at a time, each of its resamples
+        # that holds the far row
+        assert raised == [30] + [1] * sum(bool((xb[:, 0] == 1e160).any()) for xb in drawn)
 
-    def test_stack_error_after_a_reinit_redoes_only_the_runs_up_to_it(self, monkeypatch):
-        # a stack that raises is drawn again from its start as one resample,
-        # and stacking resumes after it
+    @pytest.mark.bits
+    def test_stack_error_after_a_reinit_redoes_runs_alone(self, monkeypatch):
+        # a stack that raises is redone one resample at a time on its streams
+        # rewound, its runs after the first reinit are dropped, and stacking
+        # resumes after that reinit
         x, em, params = far_row_fit("gaussian", "diagonal")
         sizes, firsts, warm_runs = [], [], fc.bootstrap._warm_runs
 
@@ -604,9 +614,8 @@ class TestSpeculativeWarmStacks:
             x, params, curve.levels, "nonparametric", 40, em, 10, 2)
         assert np.array_equal(curve.fcr_hat, expected)
         (k,) = firsts
-        assert sizes[0] == 40 and k < 39
-        assert sizes[1] == 1
-        assert max(sizes[2:]) > 1
+        assert sizes[:41] == [40] + [1] * 40 and k < 39
+        assert max(sizes[41:]) > 1
 
     def test_calibration_iterates_warm_stacks(self, monkeypatch):
         _, _, x, params = fitted_pair(eps=2.0, n=80, seed=17)
@@ -620,6 +629,7 @@ class TestSpeculativeWarmStacks:
 class TestStackedRefits:
     """Full refits iterate as EM stacks; the curve is the one-at-a-time curve."""
 
+    @pytest.mark.bits
     @pytest.mark.parametrize("blocks", ["one", "several"])
     @pytest.mark.parametrize("n_starts", [1, 2])
     @pytest.mark.parametrize("mode", ["parametric", "nonparametric"])
@@ -693,10 +703,11 @@ class TestStackedRefits:
         alone = fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(3))
         assert np.array_equal(curve.fcr_hat, alone.fcr_hat)
 
+    @pytest.mark.bits
     def test_raised_block_redoes_its_refits_on_their_spawn_keys(self, monkeypatch, caplog):
-        # the reference posteriors of a far row raise the first block, whose
-        # refits then run again: on the streams spawned for their resamples,
-        # not on new ones, with the warnings and error of one at a time
+        # the reference posteriors of a far row raise in the first block,
+        # whose refits run once, each on the streams spawned for its resample,
+        # with the warnings and error of one at a time
         _, x = fc.sample_mixture(fc.gaussian_separation_truth(2, 2, 2.0), 40,
                                  np.random.default_rng(0))
         em = fc.EmConfig(structure="diagonal", n_starts=2)
@@ -732,6 +743,70 @@ class TestStackedRefits:
         assert any("rows lie too far apart" in m for m in logged)
         # every spawn key goes with one resample, the one it goes with alone
         assert len({key for key, _ in pairs}) == len({xb for _, xb in pairs}) == len(pairs)
+        assert alone_pairs <= pairs
+
+    @pytest.mark.bits
+    def test_refit_raising_inside_em_raises_at_its_resample(self, monkeypatch, caplog):
+        # exactly q distinct rows: some refits fail at their start, each with a
+        # warning; a later resample's refit raises inside EM (the E-step,
+        # stubbed on that resample's rows), which ends the stack it is in.
+        # The error stays fatal and comes at that resample, with the same
+        # warnings and scores before it as at one resample per block
+        x = np.array([[0.0, 0.0]] * 2 + [[3.0, 1.0]] * 2)
+        em = fc.EmConfig(structure="known", known_covariances=(np.eye(2), 2.0 * np.eye(2)),
+                         n_starts=2, max_iter=20)
+        params = fc.fit_mixture(x, 2, em, np.random.default_rng(0)).params
+        rng = np.random.default_rng(0)
+        draws = [fc.resample(x, params, "nonparametric", rng) for _ in range(30)]
+        keys = [xb.tobytes() for xb in draws]
+        failed = [len(np.unique(xb, axis=0)) < 2 for xb in draws]
+        bad = next(i for i in range(30)
+                   if any(failed[:i]) and not failed[i] and keys.count(keys[i]) == 1)
+        e_step, fit_runs, score = fc.em._e_step, fc.em._fit_runs, fc.bootstrap._score_block
+
+        def raising(theta, dof, xr):
+            if any(xb.tobytes() == keys[bad] for xb in xr):
+                raise ValueError("E-step failed")
+            return e_step(theta, dof, xr)
+
+        def run(budget):
+            pairs, calls, scored = set(), [], []
+
+            def spy(xr, q, refit_cfg, known, streams):
+                xr = np.broadcast_to(xr, (len(streams), *xr.shape[-2:]))
+                pairs.update((g.bit_generator.seed_seq.spawn_key, xb.tobytes())
+                             for g, xb in zip(streams, xr))
+                calls.append(len(streams))
+                return fit_runs(xr, q, refit_cfg, known, streams)
+
+            def counted_score(probs, ref, levels):
+                scored.extend(zip(probs, ref))
+                return score(probs, ref, levels)
+
+            monkeypatch.setattr(fc.em, "_e_step", raising)
+            monkeypatch.setattr(fc.em, "_fit_runs", spy)
+            monkeypatch.setattr(fc.bootstrap, "_score_block", counted_score)
+            if budget is not None:
+                monkeypatch.setattr(fc.bootstrap, "_BLOCK_ELEMENTS", budget)
+            caplog.clear()
+            cfg = fc.BootstrapConfig(mode="nonparametric", b=30, refit=FullRefit())
+            with caplog.at_level("WARNING", logger="fcrcluster.bootstrap"):
+                with pytest.raises(ValueError, match="E-step failed") as error:
+                    fc.calibrate_level(x, params, 0.2, cfg, em, np.random.default_rng(0))
+            return pairs, calls, list(caplog.messages), scored, error.value
+
+        pairs, calls, logged, scored, error = run(None)
+        alone_pairs, alone_calls, alone_logged, alone_scored, alone_error = run(1)
+        assert calls[0] == 30 * 2 and set(alone_calls) == {2}
+        assert type(error) is type(alone_error) and str(error) == str(alone_error)
+        assert logged == alone_logged == [
+            "bootstrap refit failed (need at least q=2 distinct rows); keeping original fit"
+        ] * sum(failed[:bad])
+        assert len(scored) == len(alone_scored) == bad
+        for (p, r), (p_alone, r_alone) in zip(scored, alone_scored):
+            assert np.array_equal(p, p_alone) and np.array_equal(r, r_alone)
+        # every spawn key goes with one resample, the one it goes with alone
+        assert len({key for key, _ in pairs}) == len(pairs)
         assert alone_pairs <= pairs
 
     @pytest.mark.parametrize("blocks", ["one", "several"])
@@ -779,6 +854,8 @@ class TestStackedRefits:
         cases = [
             (FullRefit(fc.EmConfig(n_starts=0)), None, "n_starts must be >= 1"),
             (FullRefit(), fc.EmConfig(max_iter=0), "max_iter must be >= 1"),
+            (FullRefit(fc.EmConfig(n_starts=2.5)), None, "n_starts must be >= 1 and whole"),
+            (FullRefit(), fc.EmConfig(max_iter=2.5), "max_iter must be >= 1 and whole"),
             (FullRefit(fc.EmConfig(structure="known", known_covariances=(np.eye(2),))),
              None, "known_covariances must hold q=2 matrices"),
             (None, None, "refit must be a WarmStart or a FullRefit"),

@@ -104,6 +104,16 @@ def test_oracle_curve_rejects_an_empty_sample(tmp_path, capsys):
     assert args.mc_size == inspect.signature(fc.oracle_curve).parameters["mc_size"].default
 
 
+def test_oracle_curve_rejects_a_level_outside_the_unit_interval(tmp_path, capsys):
+    params_path = tmp_path / "truth.json"
+    fc.save_mixture_json(fc.gaussian_separation_truth(2, 2, 2.0), params_path)
+    rc = main(["oracle-curve", "--params", str(params_path), "--alpha", "nan",
+               "--mc-size", "1000"])
+    out = capsys.readouterr()
+    assert rc == 1 and "t_star" not in out.out
+    assert "alpha must lie in (0, 1)" in out.err
+
+
 def test_simulate_named_scenario(tmp_path):
     out_dir = tmp_path / "sim"
     rc = main(
@@ -383,6 +393,7 @@ def test_cluster_rejects_a_row_far_from_every_component(tmp_path, capsys):
     assert not (tmp_path / "labels.csv").exists()
 
 
+@pytest.mark.bits
 def test_import_leaves_scipy_optimize_and_special_unloaded():
     # the assignment solver and the normal CDF are imported where they are
     # used, and the density kernel needs no LAPACK wrapper, so starting the

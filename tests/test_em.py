@@ -102,6 +102,7 @@ def stacked_inputs():
     }
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("name", ["blobs", "duplicates", "outlier"])
 @pytest.mark.parametrize("structure", STRUCTURES)
 @pytest.mark.parametrize("family", FAMILIES)
@@ -217,6 +218,7 @@ def test_runs_read_their_rows_as_one_stack(monkeypatch):
 
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("structure", ["spherical", "diagonal", "full"])
 @pytest.mark.parametrize("dof", [None, 5.0])
 def test_m_step_scatters_are_the_weighted_pair_moments(structure, dof):
@@ -297,6 +299,18 @@ class TestGaussianEm:
         assert np.array_equal(fit.params.weights, kw)
         for comp, known in zip(fit.params.components, kc):
             assert np.array_equal(comp.scatter, known)
+
+    @pytest.mark.parametrize("setting", ["n_starts", "max_iter"])
+    def test_non_whole_counts_rejected_before_any_draw(self, setting):
+        # n_starts=2.5 used to fit and report n_starts_run=2.5, and
+        # max_iter=2.5 raised TypeError inside EM
+        x = blobs(np.random.default_rng(2), [(0.0, 0.0), (4.0, 0.0)], 30)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"{setting} must be >= 1 and whole, got 2.5"):
+            fc.fit_mixture(x, 2, EmConfig(**{setting: 2.5}), rng)
+        assert rng.bit_generator.state == state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
 
     def test_known_requires_covariances(self):
         with pytest.raises(ValueError, match="known_covariances"):

@@ -186,6 +186,15 @@ class TestTStar:
             fc.oracle_curve(symmetric_pair(eps=1.0), 0.1, mc_size, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, -0.1])
+    def test_level_checked_before_any_draw(self, alpha):
+        # a NaN level used to give t_star = 0.000488, a bisection artifact
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            fc.oracle_curve(symmetric_pair(eps=1.0), alpha, 1000, rng)
+        assert rng.bit_generator.state == state
+
     def test_bracketing(self):
         # on the one frozen sample the curve is exactly non-decreasing, and
         # the bisection places t_star to within 1e-3: every grid point below

@@ -123,6 +123,17 @@ class TestBuiltinScenarios:
         assert scenario_to_json(again) == obj
         assert config_hash(again) == config_hash(cfg)
 
+    @pytest.mark.parametrize("em", [fc.EmConfig(structure="known", n_starts=2.5),
+                                    fc.EmConfig(structure="known", max_iter=2.5)])
+    def test_non_whole_counts_rejected_before_sampling(self, monkeypatch, em):
+        # n_starts=2.5 used to raise TypeError at the block size
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the settings were checked")
+
+        monkeypatch.setattr(fc.harness, "sample_mixture", no_sample)
+        with pytest.raises(ValueError, match="must be >= 1 and whole, got 2.5"):
+            fc.run_scenario(tiny_scenario(em=em))
+
     def test_boot_mode_is_chosen_by_the_procedures(self):
         cfg = fc.get_scenario("diagonal")
         cfg.boot = replace(cfg.boot, mode="nonparametric")
@@ -293,7 +304,10 @@ def entry_point_inputs(tmp_path):
      ({"grid": np.array([0.08, 0.04])}, "grid must be strictly increasing"),
      ({"b": 0}, "b must be >= 1"),
      ({"refit": FullRefit(fc.EmConfig(structure="known", known_covariances=(np.eye(3),) * 2))},
-      "known_covariances must be 2x2")],
+      "known_covariances must be 2x2"),
+     ({"b": 2.5}, "b must be >= 1 and whole, got 2.5"),
+     ({"em": fc.EmConfig(n_starts=2.5)}, "n_starts must be >= 1 and whole, got 2.5"),
+     ({"em": fc.EmConfig(n_starts=1, max_iter=2.5)}, "max_iter must be >= 1 and whole")],
 )
 @pytest.mark.parametrize("entry", ["bootstrap_procedure", "run_replication", "run_real_data"])
 def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry, setting,
@@ -309,7 +323,7 @@ def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry
     alpha = setting.get("alpha", 0.1)
     boot = fc.BootstrapConfig(b=setting.get("b", 4), grid=setting.get("grid"),
                               refit=setting.get("refit", FullRefit()))
-    em = fc.EmConfig(n_starts=1)
+    em = setting.get("em", fc.EmConfig(n_starts=1))
     run = {
         "bootstrap_procedure": lambda: fc.bootstrap_procedure(x, 2, alpha, em, boot, 0),
         "run_replication": lambda: fc.run_replication(
@@ -320,6 +334,7 @@ def test_entry_points_check_settings_before_the_fit(monkeypatch, tmp_path, entry
         run()
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("mode, procedure",
                          [("parametric", "boot_param"), ("nonparametric", "boot_nonparam")])
 def test_entry_points_agree_bit_for_bit(tmp_path, mode, procedure):
@@ -545,6 +560,7 @@ def scenario_outputs(cfg, out_dir):
 BLOCK_KINDS = ["diagonal", "student-full", "known", "n-below-q", "far-row", "far-row-fit"]
 
 
+@pytest.mark.bits
 class TestReplicationBlocks:
     """A sweep point's replications are fitted as one EM stack; each gets
     the draws, the fit and the error it gets alone."""
@@ -608,18 +624,20 @@ class TestReplicationBlocks:
 
     def test_raised_stack_is_redone_one_replication_at_a_time(self, monkeypatch, tmp_path):
         # a stack of several replications that raises after its runs drew is
-        # redone one replication at a time on the start streams it spawned
+        # redone one replication at a time on the start streams it spawned;
+        # a replication stack is the one whose first stream is the first its
+        # replication spawned
         cfg = block_scenario("diagonal")
         alone = scenario_outputs(cfg, tmp_path / "alone")
-        fit_datasets, raised = fc.harness._fit_datasets, []
+        fit_runs, raised = fc.em._fit_runs, []
 
-        def raising(xs, q, cfg, known, streams):
-            runs = fit_datasets(xs, q, cfg, known, streams)
-            if len(xs) > 1:
-                raised.append(len(xs))
+        def raising(x, q, cfg, known, streams):
+            runs = fit_runs(x, q, cfg, known, streams)
+            if len(streams) > cfg.n_starts and streams[0].bit_generator.seed_seq.spawn_key == (0,):
+                raised.append(len(streams) // cfg.n_starts)
                 raise ValueError("stack failed after its runs")
             return runs
 
-        monkeypatch.setattr(fc.harness, "_fit_datasets", raising)
+        monkeypatch.setattr(fc.em, "_fit_runs", raising)
         assert scenario_outputs(cfg, tmp_path / "redone") == alone
         assert raised == [cfg.reps] * len(cfg.sweep_values)

@@ -442,6 +442,7 @@ def factor_stack(rng, runs, qn, d, shared, full=False, n=50):
     return x, log_w, means, *_factorize(scatters)
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("d, full", [
     *(pytest.param(d, False, id=str(d)) for d in (1, 2, 3, 4, 5, 20)),
     *(pytest.param(d, True, id=f"{d}-full") for d in (1, 2, 3, 4, 5, 20)),
@@ -475,6 +476,7 @@ def test_diagonal_kernel_matches_triangular_solves(d, full, runs, shared, dof):
     )
 
 
+@pytest.mark.bits
 @pytest.mark.parametrize("full", [False, True])
 @pytest.mark.parametrize("dof", [None, 5.0])
 def test_kernel_bits_do_not_depend_on_the_row_blocks(monkeypatch, full, dof):
