@@ -26,11 +26,12 @@ from itertools import permutations
 
 import numpy as np
 
-from .em import (EmConfig, FitResult, _best, _check_count, _check_rows, _each, _fit_datasets,
-                 _known_factors, _warm_dof, _warm_runs, fit_mixture)
+from .em import (EmConfig, FitResult, _best, _check_rows, _each, _fit_datasets, _known_factors,
+                 _warm_dof, _warm_runs, fit_mixture)
 from .mixtures import (
     MixtureParams,
     PosteriorMatrix,
+    _check_count,
     _check_width,
     _log_weighted,
     _map_rows,

@@ -25,6 +25,7 @@ from .mixtures import (
     STUDENT_T,
     ComponentParams,
     MixtureParams,
+    _check_count,
     _check_weights,
     _check_width,
     _factorize,
@@ -40,12 +41,6 @@ from .mixtures import (
 )
 
 FAMILIES = (GAUSSIAN, "student")
-
-
-def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise ``ValueError`` unless ``value`` is a whole number >= ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Mixture components are identifiable only up to a permutation of the labels,
 so every score here minimizes over all relabelings of the predictions.  The
-permutation search is exhaustive for Q <= 8, which keeps it usable as an
-independent oracle for the assignment-solver route used in the bootstrap;
-above that, scoring takes the assignment-solver route too.
+permutation search is exhaustive for Q <= 8, an independent check of the
+bootstrap's block scorer, which searches the Q! permutations only up to
+Q = 3 and takes the assignment solver above; above Q = 8, scoring here
+takes the assignment solver too.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import numpy as np
 from .mixtures import (
     GAUSSIAN,
     MixtureParams,
+    _check_count,
     _write_csv,
     posterior_matrix,
     sample_mixture,
 )
-from .selection import _check_alpha
+from .selection import _check_alpha, kstar_grid
 
 MAX_EXHAUSTIVE_Q = 8
 _MC_SIZE = 1_000_000  # the default sample size of oracle_curve and of --mc-size
@@ -44,14 +46,15 @@ class OracleCurve:
     """Monte-Carlo estimate of the selective risk curve of thresholding T.
 
     ``mfcr_values[j]`` estimates the mean MAP risk conditional on the risk
-    falling strictly below ``t_grid[j]`` (0 when no sampled risk does);
-    ``t_star`` is the largest threshold keeping that conditional mean at or
-    below the requested level, to within 1e-3, found by bisection on the one
-    frozen sample.  ``t_star`` is 1.0 for a level at or above ``alpha_bar``,
-    the unconditional mean risk, and NaN for a level at or below
-    ``alpha_c``, the smallest sampled risk, which no threshold can serve.
-    ``alpha_c`` and ``alpha_bar`` are the endpoints of the level range the
-    curve can serve.
+    falling strictly below ``t_grid[j]`` (0 when no sampled risk does).  The
+    largest threshold keeping that conditional mean at or below the requested
+    level is, on the one frozen sample, the cumulative rule's threshold (the
+    first risk it leaves out, or 1.0); ``t_star`` is the midpoint of the
+    2^-10 cell that holds it, so within 2^-11 of it.  ``t_star`` is 1.0 for
+    a level at or above ``alpha_bar``, the unconditional mean risk, and NaN
+    for a level at or below ``alpha_c``, the smallest sampled risk, which no
+    threshold can serve.  ``alpha_c`` and ``alpha_bar`` are the endpoints of
+    the level range the curve can serve.
     """
 
     t_grid: np.ndarray
@@ -136,24 +139,6 @@ def sample_fcr(true_labels, pred_labels, selection) -> FcrReport:
     )
 
 
-def _bisect_threshold(sorted_t: np.ndarray, csum: np.ndarray, alpha: float) -> float:
-    """Largest t with conditional-mean(T | T < t) <= alpha, on a frozen
-    sample, to within 1e-3."""
-
-    def mfcr_at(t: float) -> float:
-        k = int(np.searchsorted(sorted_t, t, side="left"))
-        return 0.0 if k == 0 else float(csum[k - 1] / k)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-3:
-        mid = 0.5 * (lo + hi)
-        if mfcr_at(mid) <= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def oracle_curve(
     theta_star: MixtureParams,
     alpha: float,
@@ -163,25 +148,17 @@ def oracle_curve(
     """Monte-Carlo selective-risk curve over 50 equally spaced thresholds up
     to the largest possible risk, ``1 - 1/Q``, from ``mc_size >= 1`` draws."""
     alpha = _check_alpha(alpha)
-    if mc_size < 1:
-        raise ValueError(f"mc_size must be >= 1, got {mc_size}")
-    if rng is None:
-        rng = np.random.default_rng()
+    _check_count("mc_size", mc_size)
+    rng = np.random.default_rng(rng)
     t_grid = (1.0 - 1.0 / theta_star.q) * np.arange(1, 51) / 50
     # the sample is the largest array here: nothing keeps it past this line
     values = np.sort(
         posterior_matrix(theta_star, sample_mixture(theta_star, mc_size, rng)[1]).t_values
     )
-    csum = np.cumsum(values)
-    mfcr = np.zeros(t_grid.size)
-    ses = np.zeros(t_grid.size)
-    for j, t in enumerate(t_grid):
-        k = int(np.searchsorted(values, t, side="left"))
-        if k == 0:
-            continue
-        mfcr[j] = csum[k - 1] / k
-        if k > 1:
-            ses[j] = float(values[:k].std(ddof=1) / math.sqrt(k))
+    _, csum, (k,) = kstar_grid(values, [alpha])
+    ks = np.searchsorted(values, t_grid, side="left")
+    mfcr = np.divide(csum[ks - 1], ks, out=np.zeros(t_grid.size), where=ks > 0)
+    ses = np.array([values[:j].std(ddof=1) / math.sqrt(j) if j > 1 else 0.0 for j in ks])
     alpha_bar = float(values.mean())
     alpha_c = float(values[0])
     if alpha >= alpha_bar:
@@ -189,7 +166,10 @@ def oracle_curve(
     elif alpha <= alpha_c:
         t_star = float("nan")
     else:
-        t_star = _bisect_threshold(values, csum, alpha)
+        # the midpoint of the 2^-10 cell holding the cumulative threshold; the
+        # rule can select every risk at a level an ulp below the pairwise mean
+        threshold = values[k] if k < values.size else 1.0
+        t_star = (min(math.floor(threshold * 1024), 1023) + 0.5) / 1024
     return OracleCurve(
         t_grid=t_grid,
         mfcr_values=mfcr,

@@ -28,6 +28,7 @@ from .evaluation import FcrReport, sample_fcr
 from .mixtures import (
     ComponentParams,
     MixtureParams,
+    _check_count,
     _read_csv,
     _write_csv,
     load_data_csv,
@@ -37,7 +38,8 @@ from .mixtures import (
     sample_mixture,
     validate_data,
 )
-from .selection import SelectiveClustering, select_and_label, write_clustering_csv
+from .selection import (SelectiveClustering, _check_alpha, select_and_label,
+                        write_clustering_csv)
 
 logger = logging.getLogger(__name__)
 
@@ -101,8 +103,8 @@ class ScenarioConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        _check_count("n", self.n)
+        _check_count("reps", self.reps)
         if self.sweep_kind not in SWEEP_KINDS:
             raise ValueError(f"sweep kind must be one of {SWEEP_KINDS}")
         if not self.sweep_values:
@@ -111,13 +113,12 @@ class ScenarioConfig:
             if p not in PROCEDURES:
                 raise ValueError(f"unknown procedure {p!r}")
         if self.sweep_kind == "alpha":
-            if any(not 0.0 < a < 1.0 for a in self.sweep_values):
-                raise ValueError("alpha sweep values must lie in (0, 1)")
+            for a in self.sweep_values:
+                _check_alpha(a)
         if self.sweep_kind == "n":
-            if any(int(v) < 1 for v in self.sweep_values):
-                raise ValueError("n sweep values must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            if any(not float(v).is_integer() or v < 1 for v in self.sweep_values):
+                raise ValueError(f"n sweep values must be whole and >= 1, got {self.sweep_values}")
+        _check_alpha(self.alpha)
         # only an epsilon sweep supplies the truth's epsilon; EM gets its known parts
         eps = self.sweep_values[0] if self.sweep_kind == "epsilon" else None
         _em_with_known(self.em, self.generator.truth_for(eps)).validate()
@@ -433,12 +434,22 @@ def _em_to_json(em: EmConfig) -> dict:
     }
 
 
+def _whole(key: str, value) -> int:
+    """``value`` as an int; ``ValueError`` naming ``key`` unless it is a
+    whole number, such as 50 or 50.0."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return value
+
+
 def _em_from_json(obj: dict) -> EmConfig:
     return EmConfig(
         family=obj.get("family", EmConfig.family),
         structure=obj.get("structure", EmConfig.structure),
-        max_iter=int(obj.get("max_iter", EmConfig.max_iter)),
-        n_starts=int(obj.get("n_starts", EmConfig.n_starts)),
+        max_iter=_whole("max_iter", obj.get("max_iter", EmConfig.max_iter)),
+        n_starts=_whole("n_starts", obj.get("n_starts", EmConfig.n_starts)),
         rel_tol=obj.get("rel_tol", EmConfig.rel_tol),
         dof=float(obj.get("dof", EmConfig.dof)),
     )
@@ -499,20 +510,20 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
         spec = TruthSpec(params=mixture_from_json(params))
     else:
         spec = TruthSpec(
-            q=int(gen.get("q", TruthSpec.q)),
-            d=int(gen.get("d", TruthSpec.d)),
+            q=_whole("q", gen.get("q", TruthSpec.q)),
+            d=_whole("d", gen.get("d", TruthSpec.d)),
             epsilon=gen.get("epsilon"),
         )
     boot_obj = obj.get("boot", {})
     refit_obj = boot_obj.get("refit", {"full_refit": True})
     if "warm_start" in refit_obj:
-        refit = WarmStart(iters=int(refit_obj["warm_start"]))
+        refit = WarmStart(iters=_whole("warm_start", refit_obj["warm_start"]))
     else:
         full = refit_obj.get("full_refit")
         refit = FullRefit(_em_from_json(full) if isinstance(full, dict) else None)
     boot_cfg = BootstrapConfig(
         mode=boot_obj.get("mode", BootstrapConfig.mode),
-        b=int(boot_obj.get("b", BootstrapConfig.b)),
+        b=_whole("b", boot_obj.get("b", BootstrapConfig.b)),
         grid=None if boot_obj.get("grid") is None else np.asarray(boot_obj["grid"]),
         refit=refit,
     )
@@ -520,15 +531,15 @@ def scenario_from_json(obj: dict) -> ScenarioConfig:
     return ScenarioConfig(
         name=obj["name"],
         generator=spec,
-        n=int(obj["n"]),
-        reps=int(obj["reps"]),
+        n=_whole("n", obj["n"]),
+        reps=_whole("reps", obj["reps"]),
         procedures=tuple(obj.get("procedures", PROCEDURES)),
         sweep_kind=sweep["kind"],
         sweep_values=tuple(float(v) for v in sweep["values"]),
         alpha=float(obj["alpha"]),
         em=_em_from_json(obj.get("em", {})),
         boot=boot_cfg,
-        seed=int(obj.get("seed", ScenarioConfig.seed)),
+        seed=_whole("seed", obj.get("seed", ScenarioConfig.seed)),
     )
 
 

@@ -252,6 +252,14 @@ def validate_data(data) -> np.ndarray:
     return x
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Raise ``ValueError`` unless ``value`` is a whole number >= ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
 def _check_width(x: np.ndarray, d: int) -> None:
     """Raise ``ValueError`` unless the rows of ``x`` (n, d) have ``d`` columns."""
     if x.size and x.shape[1] != d:

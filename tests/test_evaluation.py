@@ -1,5 +1,6 @@
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestTStar:
         assert math.isnan(at.t_star)
         assert math.isfinite(above.t_star) and 0.0 < above.t_star < 1.0
 
-    @pytest.mark.parametrize("mc_size", [0, -3])
+    @pytest.mark.parametrize("mc_size", [0, -3, 2.5])
     def test_mc_size_below_one_raises_before_any_draw(self, mc_size):
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
@@ -188,7 +189,7 @@ class TestTStar:
 
     @pytest.mark.parametrize("alpha", [float("nan"), 0.0, 1.0, -0.1])
     def test_level_checked_before_any_draw(self, alpha):
-        # a NaN level used to give t_star = 0.000488, a bisection artifact
+        # a NaN level used to give t_star = 0.000488, the first 2^-10 cell
         rng = np.random.default_rng(4)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
@@ -197,8 +198,8 @@ class TestTStar:
 
     def test_bracketing(self):
         # on the one frozen sample the curve is exactly non-decreasing, and
-        # the bisection places t_star to within 1e-3: every grid point below
-        # it keeps the level, every grid point above it exceeds the level
+        # t_star lies within 2^-11 of the cumulative threshold: every grid
+        # point below it keeps the level, every grid point above it exceeds it
         truth = symmetric_pair(eps=math.sqrt(2.0))
         alpha = 0.1
         curve = fc.oracle_curve(truth, alpha, 400_000, np.random.default_rng(2))
@@ -212,6 +213,119 @@ class TestTStar:
         truth = symmetric_pair(eps=math.sqrt(2.0))
         curve = fc.oracle_curve(truth, 0.1, 200_000, np.random.default_rng(5))
         assert curve.t_star > 0.1
+
+
+def _bisect_threshold(sorted_t, csum, alpha):
+    """Largest t with conditional-mean(T | T < t) <= alpha, on a frozen
+    sample, to within 1e-3: the bisection that placed t_star before it was
+    read off the cumulative rule, kept as the reference of the pins below."""
+
+    def mfcr_at(t):
+        k = int(np.searchsorted(sorted_t, t, side="left"))
+        return 0.0 if k == 0 else float(csum[k - 1] / k)
+
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-3:
+        mid = 0.5 * (lo + hi)
+        if mfcr_at(mid) <= alpha:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_curve(values, t_grid, alpha):
+    """``(t_star, mfcr_values, mfcr_ses)`` of a sorted sample, as the
+    per-threshold loop and the bisection computed them."""
+    csum = np.cumsum(values)
+    mfcr = np.zeros(t_grid.size)
+    ses = np.zeros(t_grid.size)
+    for j, t in enumerate(t_grid):
+        k = int(np.searchsorted(values, t, side="left"))
+        if k == 0:
+            continue
+        mfcr[j] = csum[k - 1] / k
+        if k > 1:
+            ses[j] = float(values[:k].std(ddof=1) / math.sqrt(k))
+    if alpha >= float(values.mean()):
+        t_star = 1.0
+    elif alpha <= float(values[0]):
+        t_star = float("nan")
+    else:
+        t_star = _bisect_threshold(values, csum, alpha)
+    return t_star, mfcr, ses
+
+
+def _assert_matches_reference(curve, values, alpha):
+    values = np.sort(values)
+    t_star, mfcr, ses = _reference_curve(values, curve.t_grid, alpha)
+    np.testing.assert_array_equal(curve.t_star, t_star)
+    np.testing.assert_array_equal(curve.mfcr_values, mfcr)
+    np.testing.assert_array_equal(curve.mfcr_ses, ses)
+    if math.isfinite(curve.t_star):
+        threshold = fc.cumulative_select(values, alpha).threshold
+        assert abs(curve.t_star - threshold) <= 2**-11
+
+
+class TestCumulativeTStar:
+    """t_star is the midpoint of the 2^-10 cell holding the cumulative rule's
+    threshold, which is what the bisection returned: every output keeps its
+    bits."""
+
+    @pytest.mark.bits
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_seeded_samples_match_the_bisection(self, monkeypatch, q):
+        seen = []
+        real = fc.evaluation.posterior_matrix
+
+        def spy(theta, x):
+            post = real(theta, x)
+            seen.append(post.t_values)
+            return post
+
+        monkeypatch.setattr(fc.evaluation, "posterior_matrix", spy)
+        truth = fc.gaussian_separation_truth(q, 2, 2.0)
+        for seed in range(20):
+            for alpha in (1e-9, 1e-3, 0.02, 0.1, 0.4):
+                curve = fc.oracle_curve(truth, alpha, 5_000, np.random.default_rng(seed))
+                _assert_matches_reference(curve, seen[-1], alpha)
+
+    @staticmethod
+    def _one_ulp_below_alpha_bar():
+        # the pairwise mean can exceed the last prefix mean by an ulp, so a
+        # level just below alpha_bar can select every risk
+        for seed in range(100):
+            values = np.random.default_rng(seed).uniform(0.0, 0.5, 1000)
+            alpha = float(np.nextafter(values.mean(), 0.0))
+            if fc.cumulative_select(values, alpha).k_star == values.size:
+                return values, alpha
+        raise AssertionError("no sample selects every risk one ulp below its mean")
+
+    @pytest.mark.bits
+    @pytest.mark.parametrize("case", ["on-a-cell-edge", "ties", "above-alpha-c",
+                                      "below-alpha-bar"])
+    def test_stubbed_samples_match_the_bisection(self, monkeypatch, case):
+        if case == "on-a-cell-edge":
+            # the threshold is exactly 300/1024, the lower edge of its cell
+            values, alpha = np.array([0.45, 0.05, 300 / 1024, 0.08, 0.4]), 0.1
+        elif case == "ties":
+            # the rule selects one of three risks tied at the threshold
+            values, alpha = np.array([0.2, 0.02, 0.4, 0.2, 0.02, 0.2]), 0.09
+        elif case == "above-alpha-c":
+            values = np.random.default_rng(3).uniform(0.0, 0.5, 1000)
+            alpha = float(np.nextafter(values.min(), 1.0))
+        else:
+            values, alpha = self._one_ulp_below_alpha_bar()
+        monkeypatch.setattr(fc.evaluation, "posterior_matrix",
+                            lambda theta, x: types.SimpleNamespace(t_values=values))
+        curve = fc.oracle_curve(symmetric_pair(), alpha, values.size,
+                                np.random.default_rng(0))
+        assert curve.alpha_c < alpha < curve.alpha_bar
+        _assert_matches_reference(curve, values, alpha)
+        if case == "on-a-cell-edge":
+            assert curve.t_star == 300.5 / 1024
+        if case == "below-alpha-bar":
+            assert curve.t_star == 1023.5 / 1024
 
 
 class TestOracleCurve:

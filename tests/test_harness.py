@@ -134,6 +134,47 @@ class TestBuiltinScenarios:
         with pytest.raises(ValueError, match="must be >= 1 and whole, got 2.5"):
             fc.run_scenario(tiny_scenario(em=em))
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"n": 2.5}, "n must be >= 1 and whole, got 2.5"),
+        ({"n": 0}, "n must be >= 1, got 0"),
+        ({"reps": 2.5}, "reps must be >= 1 and whole, got 2.5"),
+        ({"reps": 0}, "reps must be >= 1, got 0"),
+        ({"sweep_kind": "n", "sweep_values": (30.0, 50.5)}, "n sweep values must be whole"),
+        ({"sweep_kind": "n", "sweep_values": (0.0,)}, "n sweep values must be whole and >= 1"),
+        ({"alpha": 1.5}, r"alpha must lie in \(0, 1\), got 1.5"),
+        ({"sweep_kind": "alpha", "sweep_values": (0.1, math.nan)}, r"alpha must lie in \(0, 1\)"),
+    ])
+    def test_bad_sizes_and_levels_rejected_before_sampling(self, monkeypatch, setting, message):
+        # n=2.5 and reps=2.5 used to raise TypeError mid-run, n=0 to fail
+        # every replication, and an n-sweep value of 50.5 to run at n=50
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the settings were checked")
+
+        monkeypatch.setattr(fc.harness, "sample_mixture", no_sample)
+        with pytest.raises(ValueError, match=message):
+            fc.run_scenario(tiny_scenario(**setting))
+
+    @pytest.mark.parametrize("path", [("n",), ("reps",), ("seed",), ("generator", "q"),
+                                      ("generator", "d"), ("em", "max_iter"),
+                                      ("em", "n_starts"), ("boot", "b"),
+                                      ("boot", "refit", "warm_start")])
+    def test_json_rejects_non_whole_counts(self, path):
+        # "b": 2.5 used to load as b=2, so simulate ran another configuration
+        def slot(obj):
+            for key in path[:-1]:
+                obj = obj[key]
+            return obj
+
+        cfg = fc.get_scenario("diagonal")
+        obj = scenario_to_json(replace(cfg, boot=replace(cfg.boot, refit=WarmStart(10))))
+        edited = json.loads(json.dumps(obj))
+        slot(edited)[path[-1]] = 2.5
+        with pytest.raises(ValueError, match=f"{path[-1]} must be a whole number, got 2.5"):
+            scenario_from_json(edited)
+        # a whole number written as a float still loads as that count
+        slot(edited)[path[-1]] = float(slot(obj)[path[-1]])
+        assert scenario_to_json(scenario_from_json(edited)) == obj
+
     def test_boot_mode_is_chosen_by_the_procedures(self):
         cfg = fc.get_scenario("diagonal")
         cfg.boot = replace(cfg.boot, mode="nonparametric")
