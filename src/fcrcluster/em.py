@@ -15,6 +15,11 @@ standard per-item precision weights in the M-step.
 
 from __future__ import annotations
 
+import contextvars
+import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,6 +38,7 @@ from .mixtures import (
     _normalize,
     _regularize,
     _regularize_diagonal,
+    _regularized,
     _theta,
     _write_csv,
     regularize_scatter,
@@ -49,8 +55,9 @@ class EmConfig:
 
     ``rel_tol`` enables an early stop once the log-likelihood changes by at
     most that much relative (a larger drop does not stop); set it to
-    ``None`` to always run ``max_iter`` iterations.  ``family`` selects the
-    component family for :func:`fit_mixture`.
+    ``None`` to always run ``max_iter`` iterations; otherwise it is a finite
+    number >= 0.  ``family`` selects the component family for
+    :func:`fit_mixture`, and a Student-t ``dof`` is finite and exceeds 2.
     """
 
     family: str = GAUSSIAN
@@ -71,8 +78,11 @@ class EmConfig:
             _check_count(name, getattr(self, name))
         if self.structure == "known" and self.known_covariances is None:
             raise ValueError("structure 'known' requires known_covariances")
-        if self.family == "student" and not self.dof > 2.0:
-            raise ValueError("Student-t dof must exceed 2")
+        tol = self.rel_tol
+        if tol is not None and not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+            raise ValueError(f"rel_tol must be None or a finite number >= 0, got {tol!r}")
+        if self.family == "student" and not 2.0 < self.dof < math.inf:
+            raise ValueError(f"Student-t dof must exceed 2 and be finite, got {self.dof!r}")
 
 
 @dataclass
@@ -171,10 +181,12 @@ def _pooled(x: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> np.ndarra
 # reductions over rows or coordinates in a fixed order, and stacked products
 # and factorizations that make one BLAS or LAPACK call per slice (the means,
 # Cholesky, the eigenvalue floor); so every run computes the bits it would
-# compute alone.  Diagonal and spherical scatters are estimated, floored and
-# factored from their diagonals alone.  Scatters are regularized once when
-# they are made; mixture parameters are built, and so validated, only when a
-# fit returns.
+# compute alone, and a large stack of fresh starts can be split into pieces
+# of runs that iterate in threads (``_fit_runs``).  A warm stack is never
+# split: its runs' saved streams share the bootstrap generator.  Diagonal and
+# spherical scatters are estimated, floored and factored from their
+# diagonals alone.  Scatters are regularized once when they are made;
+# mixture parameters are built, and so validated, only when a fit returns.
 
 
 @dataclass(eq=False)
@@ -281,9 +293,7 @@ def _m_step(
                 for q in np.flatnonzero(redo[r]):
                     means[r, q] = x[r, int(runs[r].rng.integers(n))]
                     if known is None:
-                        scatter = regularize_scatter(
-                            _project_cov(_safe_cov(x[r]), cfg.structure)
-                        )
+                        scatter = _regularized(_project_cov(_safe_cov(x[r]), cfg.structure))
                         scatters[r, q] = np.diagonal(scatter) if diagonal else scatter
                 runs[r].n_reinits += int(redo[r].sum())
             ok &= ~redo
@@ -421,8 +431,67 @@ def _iterate(x, theta, dof, cfg: EmConfig, known, runs: list[_Run]):
         theta = _m_step(x, resp, mahal, cfg, dof, known, live)
 
 
+# A stack of at least this many (run, component, row) elements is split
+# across threads by ``_fit_runs``.  Below it the threads cost more than they
+# save: split in two, 10 Gaussian full runs at n = 1000, d = 2, Q = 2 ran
+# 0.84x as fast, and stacks of 132,000-240,000 elements 1.3-1.7x faster.
+_THREAD_ELEMENTS = 1 << 17
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
-    """EM runs from k-means++ starts, one per stream, stacked.
+    """EM runs from k-means++ starts, one per stream, stacked (``_fit_piece``),
+    handed back in stream order.
+
+    A stack of R runs on n rows is large when R * q * n reaches
+    ``_THREAD_ELEMENTS``.  A large stack is cut into min(R, usable CPUs)
+    contiguous pieces of runs, and each piece is a stack of its own in its
+    own thread, the first in the calling thread; numpy releases the GIL in
+    its loops over whole rows.  A run computes the same bits alone as in any
+    stack, so the split moves none.  Each thread runs in a copy of the
+    caller's context, which carries numpy's error state, and every thread is
+    joined before the call returns.  When pieces raise, the error of the
+    first of them is raised.
+    """
+    n_runs = len(streams)
+    pieces = 1
+    if n_runs * q * x.shape[-2] >= _THREAD_ELEMENTS:
+        pieces = min(n_runs, _usable_cpus())
+    if pieces == 1:
+        return _fit_piece(x, q, cfg, known, streams)
+    cuts = [i * n_runs // pieces for i in range(pieces + 1)]
+    out: list = [None] * pieces
+
+    def piece(i):
+        a, b = cuts[i], cuts[i + 1]
+        try:
+            out[i] = _fit_piece(x if x.ndim == 2 else x[a:b], q, cfg, known, streams[a:b])
+        except BaseException as exc:  # noqa: BLE001 - raised below, in piece order
+            out[i] = exc
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(piece, i))
+               for i in range(1, pieces)]
+    for thread in threads:
+        thread.start()
+    try:
+        piece(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for runs in out:
+        if isinstance(runs, BaseException):
+            raise runs
+    return [run for runs in out for run in runs]
+
+
+def _fit_piece(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
+    """EM runs from k-means++ starts, one per stream, as one stack.
 
     A run whose data have fewer than q distinct rows gets that as its error
     at its start and does not iterate.
@@ -449,7 +518,7 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
     if dof is not None:
         if known is None:
             pooled = np.stack([
-                regularize_scatter(_project_cov(_pooled(*start), cfg.structure))
+                _regularized(_project_cov(_pooled(*start), cfg.structure))
                 for start in zip(x, centers, assign)
             ])
             chols, log_dets = (np.repeat(a[:, None], q, axis=1) for a in _factorize(pooled))
@@ -590,7 +659,9 @@ def _warm_dof(params: MixtureParams) -> float | None:
 
 def _warm_runs(x, theta, dof, cfg: EmConfig, n_iter: int, known, streams) -> list[_Run]:
     """Warm starts, stacked: one run per stream of ``n_iter`` EM iterations
-    from its slice of ``theta``, with no early stop."""
+    from its slice of ``theta``, with no early stop.  The stack is never split
+    across threads: the bootstrap's saved streams set and read the state of
+    one shared generator."""
     runs = [_Run(s) for s in streams]
     _iterate(x, theta, dof, replace(cfg, max_iter=n_iter, rel_tol=None), known, runs)
     return runs

@@ -50,6 +50,14 @@ def regularize_scatter(scatter) -> np.ndarray:
     s = np.asarray(scatter, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"scatter must be a square matrix, got shape {s.shape}")
+    return _regularized(s)
+
+
+def _regularized(s: np.ndarray) -> np.ndarray:
+    """``regularize_scatter`` of one float (d, d) matrix, for callers inside
+    the package: the threads of a split EM stack call no public function,
+    since a wrapper around one (the benchmark's tracer keeps one span stack)
+    may assume one thread."""
     out, fail = _regularize(s[None])
     if fail[0]:
         raise ValueError(_SCATTER_ERRORS[fail[0]])

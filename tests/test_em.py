@@ -1,3 +1,6 @@
+import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -125,6 +128,160 @@ def test_stacked_starts_equal_one_start_runs(family, structure, name):
     assert (fit.converged, fit.n_reinits) == (best.converged, best.n_reinits)
     if name == "outlier" and structure != "known":
         assert sum(f.n_reinits for f in alone) > 0
+
+
+@pytest.fixture
+def fast_switches():
+    """Switch threads every 10 us, so that pieces interleave finely."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def force_split(monkeypatch, cpus):
+    """Split every stack of ``_fit_runs`` into min(R, cpus) pieces; returns
+    the pieces' run counts, as they start."""
+    sizes, fit_piece = [], fc.em._fit_piece
+
+    def spy(x, q, cfg, known, streams):
+        sizes.append(len(streams))
+        return fit_piece(x, q, cfg, known, streams)
+
+    monkeypatch.setattr(fc.em, "_THREAD_ELEMENTS", 1)
+    monkeypatch.setattr(fc.em, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(fc.em, "_fit_piece", spy)
+    return sizes
+
+
+def assert_same_runs(split, whole):
+    for a, b in zip(split, whole, strict=True):
+        assert a.trace == b.trace
+        assert (a.n_reinits, a.converged) == (b.n_reinits, b.converged)
+        assert repr(a.error) == repr(b.error)
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+        if a.error is None:
+            for u, v in zip(a.theta, b.theta, strict=True):
+                assert np.array_equal(u, v)
+            assert np.array_equal(a.probs, b.probs)
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("name", ["blobs", "outlier"])
+@pytest.mark.parametrize("structure", STRUCTURES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_split_stack_equals_one_stack(monkeypatch, fast_switches, family, structure, name, cpus):
+    # a large stack is fitted in contiguous pieces of runs, one thread each;
+    # every run computes and draws what it does in one stack, reinits too
+    x = stacked_inputs()[name]
+    _, cfg = small_input(structure, family)
+    cfg = replace(cfg, n_starts=4, max_iter=40)
+    known = fc.em._known_factors(cfg, 2, x.shape[1])
+    whole = fc.em._fit_runs(x, 2, cfg, known, np.random.default_rng(5).spawn(4))
+    sizes = force_split(monkeypatch, cpus)
+    split = fc.em._fit_runs(x, 2, cfg, known, np.random.default_rng(5).spawn(4))
+    assert sorted(sizes) == ([2, 2] if cpus == 2 else [1, 1, 2])
+    assert_same_runs(split, whole)
+    if name == "outlier" and structure != "known":
+        assert sum(run.n_reinits for run in split[1:]) > 0  # beyond piece 0
+
+
+@pytest.mark.bits
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_split_block_of_datasets_equals_one_stack(monkeypatch, fast_switches, family, cpus):
+    # the starts of a block of datasets are cut at run boundaries, so a
+    # dataset's starts may land in two pieces; each dataset keeps its fit
+    data = stacked_inputs()
+    xs = np.stack([data["blobs"][:61], data["outlier"]])
+    _, cfg = small_input("full", family)
+    cfg = replace(cfg, n_starts=3, max_iter=40)
+
+    def fits():
+        groups = [np.random.default_rng(s).spawn(3) for s in (1, 2)]
+        return fc.em._fit_datasets(xs, 2, cfg, None, groups)
+
+    whole = fits()
+    sizes = force_split(monkeypatch, cpus)
+    split = fits()
+    assert sizes == ([3, 3] if cpus == 2 else [2, 2, 2])
+    for a, b in zip(split, whole, strict=True):
+        assert_same_runs(a, b)
+
+
+def test_split_stack_raises_the_first_piece_error(monkeypatch):
+    # every piece finishes before the call raises, and the lowest piece's
+    # error wins even when a later piece raised first
+    x = stacked_inputs()["blobs"]
+    cfg = EmConfig(n_starts=4, max_iter=5)
+    streams = np.random.default_rng(0).spawn(4)
+    force_split(monkeypatch, 2)
+    fit_piece, later_raised, done = fc.em._fit_piece, threading.Event(), []
+
+    def failing(pieces):
+        def piece(x, q, cfg, known, part):
+            i = streams.index(part[0]) // 2
+            if i == 0:
+                later_raised.wait(10.0)
+            runs = fit_piece(x, q, cfg, known, part)
+            done.append(i)
+            if i in pieces:
+                if i == 1:
+                    later_raised.set()
+                raise ValueError(f"piece {i}")
+            return runs
+        return piece
+
+    before = threading.active_count()
+    for pieces, message in (({1}, "piece 1"), ({0, 1}, "piece 0")):
+        later_raised.clear()
+        done.clear()
+        monkeypatch.setattr(fc.em, "_fit_piece", failing(pieces))
+        with pytest.raises(ValueError, match=message):
+            fc.em._fit_runs(x, 2, cfg, None, streams)
+        assert sorted(done) == [0, 1]
+        assert threading.active_count() == before
+
+
+def test_split_stack_threads_keep_the_callers_errstate(monkeypatch):
+    # each piece runs in a copy of the caller's context, which holds numpy's
+    # error state; no thread outlives the call
+    x = stacked_inputs()["blobs"]
+    cfg = EmConfig(n_starts=3, max_iter=5)
+    force_split(monkeypatch, 3)
+    fit_piece, seen = fc.em._fit_piece, []
+
+    def spy(x, q, cfg, known, streams):
+        seen.append((threading.current_thread(), np.geterr()["divide"]))
+        return fit_piece(x, q, cfg, known, streams)
+
+    monkeypatch.setattr(fc.em, "_fit_piece", spy)
+    before = threading.active_count()
+    with np.errstate(divide="raise"):
+        fc.em._fit_runs(x, 2, cfg, None, np.random.default_rng(0).spawn(3))
+    assert threading.active_count() == before
+    threads = {thread for thread, _ in seen}
+    assert len(threads) == 3 and threading.current_thread() in threads
+    assert [divide for _, divide in seen] == ["raise"] * 3
+
+
+@pytest.mark.parametrize("structure", ["diagonal", "full"])
+def test_runs_call_no_public_function(monkeypatch, structure):
+    # the threads of a split stack must not enter a wrapper of a public
+    # function (the benchmark's tracer keeps one span stack per process);
+    # the outlier's reinits and the Student-t start regularize scatters
+    x = stacked_inputs()["outlier"]
+    cfg = EmConfig(family="student", structure=structure, n_starts=4, max_iter=40)
+    for module in (fc.em, fc.mixtures):
+        for attr, value in list(vars(module).items()):
+            if (not attr.startswith("_") and callable(value)
+                    and getattr(value, "__module__", "").startswith("fcrcluster")):
+                monkeypatch.setattr(module, attr, lambda *a, _name=attr, **k: pytest.fail(_name))
+    runs = fc.em._fit_runs(x, 2, cfg, None, np.random.default_rng(5).spawn(4))
+    assert sum(run.n_reinits for run in runs) > 0
 
 
 class TestKmeansppInit:
@@ -311,6 +468,19 @@ class TestGaussianEm:
             fc.fit_mixture(x, 2, EmConfig(**{setting: 2.5}), rng)
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    @pytest.mark.parametrize("rel_tol", ["1e-8", -1e-8, math.nan, math.inf])
+    def test_bad_rel_tol_rejected_before_any_draw(self, rel_tol):
+        # "1e-8" used to raise TypeError in the first E-step, after k-means++
+        # had drawn; a negative or NaN tolerance silently ran max_iter steps
+        x = blobs(np.random.default_rng(2), [(0.0, 0.0), (4.0, 0.0)], 30)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="rel_tol must be None or a finite number >= 0"):
+            fc.fit_mixture(x, 2, EmConfig(rel_tol=rel_tol), rng)
+        assert rng.bit_generator.state == state
+        for ok in (None, 0, 0.0, 1e-8, np.float64(1e-6)):
+            EmConfig(rel_tol=ok).validate()
 
     def test_known_requires_covariances(self):
         with pytest.raises(ValueError, match="known_covariances"):
@@ -516,6 +686,16 @@ class TestStudentEm:
             with pytest.raises(ValueError, match="dof must exceed 2"):
                 EmConfig(family="student", dof=dof).validate()
         EmConfig(family="gaussian", dof=1.0).validate()  # dof unused
+
+    def test_infinite_dof_rejected_before_any_draw(self):
+        # dof=inf used to pass, and the fit then died in the M-step with a
+        # RuntimeWarning from np.divide
+        x = blobs(np.random.default_rng(2), [(0.0, 0.0), (4.0, 0.0)], 30)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="dof must exceed 2 and be finite, got inf"):
+            fc.fit_mixture(x, 2, EmConfig(family="student", dof=math.inf), rng)
+        assert rng.bit_generator.state == state
 
     def test_dof_never_updated(self):
         rng = np.random.default_rng(15)

@@ -154,6 +154,18 @@ class TestBuiltinScenarios:
         with pytest.raises(ValueError, match=message):
             fc.run_scenario(tiny_scenario(**setting))
 
+    def test_json_string_rel_tol_rejected_before_sampling(self, monkeypatch):
+        # "rel_tol": "1e-8" used to load as a string and raise TypeError in
+        # the first E-step, after the sample was drawn
+        def no_sample(*args, **kwargs):
+            raise AssertionError("sampled before the settings were checked")
+
+        obj = scenario_to_json(tiny_scenario())
+        obj["em"]["rel_tol"] = "1e-8"
+        monkeypatch.setattr(fc.harness, "sample_mixture", no_sample)
+        with pytest.raises(ValueError, match="rel_tol must be None or a finite number >= 0, got '1e-8'"):
+            fc.run_scenario(scenario_from_json(obj))
+
     @pytest.mark.parametrize("path", [("n",), ("reps",), ("seed",), ("generator", "q"),
                                       ("generator", "d"), ("em", "max_iter"),
                                       ("em", "n_starts"), ("boot", "b"),
