@@ -285,18 +285,16 @@ def _refits(x, theta_hat, cfg, refit_cfg, known, rng):
             xs.append(resample(x, theta_hat, cfg.mode, rng))
             groups.append([_SavedStream(rng)] if warm else rng.spawn(starts))
         xs = np.stack(xs)
-        if not warm:
-            fits = _fit_datasets(xs, q, refit_cfg, known, groups)
-        elif cfg.refit.iters:
+        if warm:
             fits = _each(warm_stack, xs, groups, lambda group: [s.rewind() for s in group])
         else:
-            fits = [None] * m
+            fits = _fit_datasets(xs, q, refit_cfg, known, groups)
         k = next((i for i, group in enumerate(groups) if warm and group[0].drew), m)
         refs = _each(reference, xs[:k + 1])
         probs, error = [], None
         for fit, ref in zip(fits, refs):
             # the refit's error, or else its posterior, None where the original fit stands in
-            p = fit if fit is None or isinstance(fit, Exception) else _refit_probs(fit)
+            p = fit if isinstance(fit, Exception) else _refit_probs(fit)
             error = next((e for e in (p, ref) if isinstance(e, Exception)), None)
             if error is not None:
                 break

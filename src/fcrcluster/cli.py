@@ -104,7 +104,7 @@ def _add_oracle_curve(sub):
 
 def _cmd_simulate(args) -> int:
     path = Path(args.scenario)
-    if path.suffix == ".json" and path.exists():
+    if path.suffix == ".json":  # a missing file raises, naming it
         config = scenario_from_json(json.loads(path.read_text()))
     else:
         config = get_scenario(args.scenario)

@@ -19,7 +19,6 @@ import contextvars
 import math
 import numbers
 import os
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -451,13 +450,14 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
 
     A stack of R runs on n rows is large when R * q * n reaches
     ``_THREAD_ELEMENTS``.  A large stack is cut into min(R, usable CPUs)
-    contiguous pieces of runs, and each piece is a stack of its own in its
-    own thread, the first in the calling thread; numpy releases the GIL in
-    its loops over whole rows.  A run computes the same bits alone as in any
-    stack, so the split moves none.  Each thread runs in a copy of the
-    caller's context, which carries numpy's error state, and every thread is
-    joined before the call returns.  When pieces raise, the error of the
-    first of them is raised.
+    contiguous pieces of runs, and each piece is a stack of its own: the
+    first in the calling thread, the others on a thread pool with a worker
+    for each; numpy releases the GIL in its loops over whole rows.  A run
+    computes the same bits alone as in any stack, so the split moves none.
+    Each piece runs in a copy of the caller's context, which carries numpy's
+    error state, and the pool is shut down, its threads joined, before the
+    call returns or raises.  When pieces raise, the error of the first of
+    them is raised.
     """
     n_runs = len(streams)
     pieces = 1
@@ -465,29 +465,18 @@ def _fit_runs(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:
         pieces = min(n_runs, _usable_cpus())
     if pieces == 1:
         return _fit_piece(x, q, cfg, known, streams)
+    from concurrent.futures import ThreadPoolExecutor
+
     cuts = [i * n_runs // pieces for i in range(pieces + 1)]
-    out: list = [None] * pieces
 
     def piece(i):
         a, b = cuts[i], cuts[i + 1]
-        try:
-            out[i] = _fit_piece(x if x.ndim == 2 else x[a:b], q, cfg, known, streams[a:b])
-        except BaseException as exc:  # noqa: BLE001 - raised below, in piece order
-            out[i] = exc
+        return _fit_piece(x if x.ndim == 2 else x[a:b], q, cfg, known, streams[a:b])
 
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(piece, i))
-               for i in range(1, pieces)]
-    for thread in threads:
-        thread.start()
-    try:
-        piece(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for runs in out:
-        if isinstance(runs, BaseException):
-            raise runs
-    return [run for runs in out for run in runs]
+    with ThreadPoolExecutor(pieces - 1) as pool:
+        rest = [pool.submit(contextvars.copy_context().run, piece, i) for i in range(1, pieces)]
+        runs = piece(0)
+    return runs + [run for future in rest for run in future.result()]
 
 
 def _fit_piece(x, q: int, cfg: EmConfig, known, streams) -> list[_Run]:

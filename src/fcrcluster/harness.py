@@ -30,6 +30,7 @@ from .mixtures import (
     MixtureParams,
     _check_count,
     _read_csv,
+    _whole,
     _write_csv,
     load_data_csv,
     mixture_from_json,
@@ -119,9 +120,10 @@ class ScenarioConfig:
             if any(not float(v).is_integer() or v < 1 for v in self.sweep_values):
                 raise ValueError(f"n sweep values must be whole and >= 1, got {self.sweep_values}")
         _check_alpha(self.alpha)
-        # only an epsilon sweep supplies the truth's epsilon; EM gets its known parts
-        eps = self.sweep_values[0] if self.sweep_kind == "epsilon" else None
-        _em_with_known(self.em, self.generator.truth_for(eps)).validate()
+        # only an epsilon sweep supplies the truth's epsilon, one truth per
+        # value; EM gets each truth's known parts
+        for eps in self.sweep_values if self.sweep_kind == "epsilon" else (None,):
+            _em_with_known(self.em, self.generator.truth_for(eps)).validate()
         if self.boot.mode != BootstrapConfig.mode:
             raise ValueError("boot.mode is not a scenario setting: the procedures"
                              " boot_param and boot_nonparam choose the mode")
@@ -163,12 +165,6 @@ def builtin_scenarios() -> list[ScenarioConfig]:
     alpha_grid = (0.025, 0.05, 0.075, 0.1, 0.125, 0.15, 0.175, 0.2)
     n_grid = (50.0, 100.0, 200.0, 500.0, 1000.0)
 
-    def em(structure: str) -> EmConfig:
-        return EmConfig(structure=structure, max_iter=100, n_starts=10)
-
-    def boot() -> BootstrapConfig:
-        return BootstrapConfig(b=1000, refit=FullRefit())
-
     def scenario(name, q, d, sweep_kind, sweep_values, structure, *, n=100,
                  alpha=0.1, epsilon=None, procedures=PROCEDURES, seed=0):
         return ScenarioConfig(
@@ -180,8 +176,7 @@ def builtin_scenarios() -> list[ScenarioConfig]:
             sweep_kind=sweep_kind,
             sweep_values=tuple(float(v) for v in sweep_values),
             alpha=alpha,
-            em=em(structure),
-            boot=boot(),
+            em=EmConfig(structure=structure),
             seed=seed,
         )
 
@@ -432,16 +427,6 @@ def _em_to_json(em: EmConfig) -> dict:
         "rel_tol": em.rel_tol,
         "dof": em.dof,
     }
-
-
-def _whole(key: str, value) -> int:
-    """``value`` as an int; ``ValueError`` naming ``key`` unless it is a
-    whole number, such as 50 or 50.0."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, int):
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return value
 
 
 def _em_from_json(obj: dict) -> EmConfig:

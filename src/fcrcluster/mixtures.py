@@ -261,11 +261,22 @@ def validate_data(data) -> np.ndarray:
 
 
 def _check_count(name: str, value, least: int = 1) -> None:
-    """Raise ``ValueError`` unless ``value`` is a whole number >= ``least``."""
-    if not isinstance(value, (int, np.integer)):
+    """Raise ``ValueError`` unless ``value`` is a whole number >= ``least``
+    (not a bool)."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be >= {least} and whole, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value!r}")
+
+
+def _whole(key: str, value) -> int:
+    """``value`` read from JSON as an int; ``ValueError`` naming ``key``
+    unless it is a whole number, such as 50 or 50.0, and not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return value
 
 
 def _check_width(x: np.ndarray, d: int) -> None:
@@ -525,7 +536,7 @@ def mixture_from_json(obj: dict) -> MixtureParams:
         components=comps,
         structure=obj.get("structure", "full"),
     )
-    if "q" in obj and int(obj["q"]) != params.q:
+    if "q" in obj and _whole("q", obj["q"]) != params.q:
         raise ValueError("declared q does not match number of components")
     return params
 

@@ -167,6 +167,16 @@ def test_simulate_reports_failed_replications(tmp_path, capsys):
     assert len(rows) == 2 * 2 and {r.split(",")[2] for r in rows} == {"40.0"}
 
 
+def test_simulate_names_a_missing_scenario_file(tmp_path, capsys):
+    # a missing .json path used to be looked up as a builtin scenario name
+    missing = tmp_path / "missing.json"
+    rc = main(["simulate", "--scenario", str(missing), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert str(missing) in err and "no scenario named" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_parser_defaults_are_the_config_defaults():
     parser = build_parser()
     fit = parser.parse_args(["fit", "--data", "d.csv", "--q", "2", "--out", "p.json"])

@@ -248,24 +248,28 @@ def test_split_stack_raises_the_first_piece_error(monkeypatch):
 
 def test_split_stack_threads_keep_the_callers_errstate(monkeypatch):
     # each piece runs in a copy of the caller's context, which holds numpy's
-    # error state; no thread outlives the call
+    # error state; piece 0 runs in the calling thread and the others on
+    # other threads (a pool worker may take more than one piece); no thread
+    # outlives the call
     x = stacked_inputs()["blobs"]
     cfg = EmConfig(n_starts=3, max_iter=5)
+    streams = np.random.default_rng(0).spawn(3)
     force_split(monkeypatch, 3)
     fit_piece, seen = fc.em._fit_piece, []
 
-    def spy(x, q, cfg, known, streams):
-        seen.append((threading.current_thread(), np.geterr()["divide"]))
-        return fit_piece(x, q, cfg, known, streams)
+    def spy(x, q, cfg, known, part):
+        seen.append((streams.index(part[0]), threading.current_thread(), np.geterr()["divide"]))
+        return fit_piece(x, q, cfg, known, part)
 
     monkeypatch.setattr(fc.em, "_fit_piece", spy)
     before = threading.active_count()
     with np.errstate(divide="raise"):
-        fc.em._fit_runs(x, 2, cfg, None, np.random.default_rng(0).spawn(3))
+        fc.em._fit_runs(x, 2, cfg, None, streams)
     assert threading.active_count() == before
-    threads = {thread for thread, _ in seen}
-    assert len(threads) == 3 and threading.current_thread() in threads
-    assert [divide for _, divide in seen] == ["raise"] * 3
+    caller = threading.current_thread()
+    assert sorted(i for i, _, _ in seen) == [0, 1, 2]
+    assert all((thread is caller) == (i == 0) for i, thread, _ in seen)
+    assert [divide for _, _, divide in seen] == ["raise"] * 3
 
 
 @pytest.mark.parametrize("structure", ["diagonal", "full"])
@@ -459,13 +463,14 @@ class TestGaussianEm:
 
     @pytest.mark.parametrize("setting", ["n_starts", "max_iter"])
     def test_non_whole_counts_rejected_before_any_draw(self, setting):
-        # n_starts=2.5 used to fit and report n_starts_run=2.5, and
-        # max_iter=2.5 raised TypeError inside EM
+        # n_starts=2.5 used to fit and report n_starts_run=2.5, max_iter=2.5
+        # raised TypeError inside EM, and n_starts=True ran one start
         x = blobs(np.random.default_rng(2), [(0.0, 0.0), (4.0, 0.0)], 30)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match=f"{setting} must be >= 1 and whole, got 2.5"):
-            fc.fit_mixture(x, 2, EmConfig(**{setting: 2.5}), rng)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"{setting} must be >= 1 and whole, got {bad}"):
+                fc.fit_mixture(x, 2, EmConfig(**{setting: bad}), rng)
         assert rng.bit_generator.state == state
         assert rng.bit_generator.seed_seq.n_children_spawned == 0
 

@@ -143,10 +143,14 @@ class TestBuiltinScenarios:
         ({"sweep_kind": "n", "sweep_values": (0.0,)}, "n sweep values must be whole and >= 1"),
         ({"alpha": 1.5}, r"alpha must lie in \(0, 1\), got 1.5"),
         ({"sweep_kind": "alpha", "sweep_values": (0.1, math.nan)}, r"alpha must lie in \(0, 1\)"),
+        ({"generator": fc.TruthSpec(q=3, d=2), "sweep_kind": "epsilon",
+          "sweep_values": (1.0, -1.0)}, "math domain error"),
+        ({"sweep_kind": "epsilon", "sweep_values": (1.0, math.nan)}, "mean must be finite"),
     ])
     def test_bad_sizes_and_levels_rejected_before_sampling(self, monkeypatch, setting, message):
         # n=2.5 and reps=2.5 used to raise TypeError mid-run, n=0 to fail
-        # every replication, and an n-sweep value of 50.5 to run at n=50
+        # every replication, and an n-sweep value of 50.5 to run at n=50; a
+        # bad epsilon after the first used to raise after sweep point 1 ran
         def no_sample(*args, **kwargs):
             raise AssertionError("sampled before the settings were checked")
 
@@ -171,7 +175,8 @@ class TestBuiltinScenarios:
                                       ("em", "n_starts"), ("boot", "b"),
                                       ("boot", "refit", "warm_start")])
     def test_json_rejects_non_whole_counts(self, path):
-        # "b": 2.5 used to load as b=2, so simulate ran another configuration
+        # "b": 2.5 used to load as b=2, so simulate ran another configuration,
+        # and "reps": true loaded as one replication
         def slot(obj):
             for key in path[:-1]:
                 obj = obj[key]
@@ -180,9 +185,10 @@ class TestBuiltinScenarios:
         cfg = fc.get_scenario("diagonal")
         obj = scenario_to_json(replace(cfg, boot=replace(cfg.boot, refit=WarmStart(10))))
         edited = json.loads(json.dumps(obj))
-        slot(edited)[path[-1]] = 2.5
-        with pytest.raises(ValueError, match=f"{path[-1]} must be a whole number, got 2.5"):
-            scenario_from_json(edited)
+        for bad in (2.5, True):
+            slot(edited)[path[-1]] = bad
+            with pytest.raises(ValueError, match=f"{path[-1]} must be a whole number, got {bad}"):
+                scenario_from_json(edited)
         # a whole number written as a float still loads as that count
         slot(edited)[path[-1]] = float(slot(obj)[path[-1]])
         assert scenario_to_json(scenario_from_json(edited)) == obj

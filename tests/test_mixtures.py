@@ -140,6 +140,14 @@ class TestMixtureParams:
         obj = json.loads(path.read_text())
         assert obj["q"] == 2 and obj["components"][0]["kind"] == "student_t"
 
+    def test_json_rejects_a_non_whole_q(self):
+        # "q": 2.5 used to load two components through int()
+        obj = fc.mixture_to_json(two_gaussians_1d())
+        assert fc.mixture_from_json({**obj, "q": 2.0}).q == 2
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"q must be a whole number, got {bad}"):
+                fc.mixture_from_json({**obj, "q": bad})
+
 
 class TestSampling:
     def test_empty_sample(self):
